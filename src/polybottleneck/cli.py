@@ -19,6 +19,7 @@ from .errors import (
     PolyBottleneckError,
     PreconditionError,
     StateSpaceTooLargeError,
+    UsageError,
 )
 from .game_core import Game, load_game, save_game
 
@@ -160,7 +161,10 @@ def cmd_lower_bound(args: argparse.Namespace) -> int:
 
 def _parse_range(text: str) -> tuple[int, int]:
     lo, _, hi = text.partition("..")
-    return int(lo), int(hi)
+    try:
+        return int(lo), int(hi)
+    except ValueError:
+        raise UsageError(f"--n-range must look like LO..HI, got {text!r}") from None
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -241,7 +245,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except GameFormatError as exc:
+    except (GameFormatError, UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (StateSpaceTooLargeError, PreconditionError) as exc:

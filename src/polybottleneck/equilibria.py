@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Any, Iterator, Sequence
 
 from . import kernels
-from .errors import NonConvergenceError, StateSpaceTooLargeError
+from .errors import NonConvergenceError, StateSpaceTooLargeError, StructuralError, UsageError
 from .game_core import (
     Game,
     Profile,
@@ -33,7 +33,12 @@ def state_cap(cap: int | None = None) -> int:
     if cap is not None:
         return cap
     env = os.environ.get(_CAP_ENV)
-    return int(env) if env else DEFAULT_STATE_CAP
+    if not env:
+        return DEFAULT_STATE_CAP
+    try:
+        return int(env)
+    except ValueError:
+        raise UsageError(f"{_CAP_ENV} must be an integer, got {env!r}") from None
 
 
 @dataclass(frozen=True)
@@ -197,44 +202,13 @@ def enumerate_states(game: Game, cap: int | None = None) -> Iterator[Profile]:
     return itertools.product(*ranges)
 
 
-def optimal_profile(
-    game: Game, cap: int | None = None, backend: str | None = None
-) -> tuple[Profile, int]:
-    """Exhaustive argmin of the bottleneck; ties -> lexicographically first."""
-    total = _check_cap(game, cap)
-    enc = kernels.encode_game(game)
-    best_val: int | None = None
-    best_idx = 0
-    for start in range(0, total, kernels.CHUNK):
-        stop = min(start + kernels.CHUNK, total)
-        vals = kernels.bottlenecks_range(enc, start, stop, backend)
-        k = int(vals.argmin())
-        if best_val is None or int(vals[k]) < best_val:
-            best_val = int(vals[k])
-            best_idx = start + k
-    assert best_val is not None
-    return kernels.profile_from_index(enc, best_idx), best_val
-
-
-def enumerate_nash(
-    game: Game, cap: int | None = None, backend: str | None = None
-) -> list[Profile]:
-    """All weak Nash profiles, in lexicographic order."""
-    total = _check_cap(game, cap)
-    enc = kernels.encode_game(game)
-    found: list[Profile] = []
-    for start in range(0, total, kernels.CHUNK):
-        stop = min(start + kernels.CHUNK, total)
-        mask = kernels.nash_mask_range(enc, start, stop, backend)
-        for k in mask.nonzero()[0]:
-            found.append(kernels.profile_from_index(enc, start + int(k)))
-    return found
-
-
-def price_of_anarchy(
-    game: Game, cap: int | None = None, backend: str | None = None
+def _scan(
+    game: Game, cap: int | None, backend: str | None, nash: list[Profile] | None = None
 ) -> PoaReport:
-    """Worst Nash bottleneck over the optimal bottleneck, as an exact ratio."""
+    """One pass over every profile: optimum, worst Nash state, Nash count,
+    and, into ``nash`` if given, every Nash profile in order.  Ties go to the
+    lexicographically first profile: argmin/argmax pick the first hit inside
+    a chunk, and later chunks replace only on strict improvement."""
     total = _check_cap(game, cap)
     enc = kernels.encode_game(game)
     opt_val: int | None = None
@@ -242,28 +216,23 @@ def price_of_anarchy(
     worst_val: int | None = None
     worst_idx = 0
     nash_count = 0
-    for start in range(0, total, kernels.CHUNK):
-        stop = min(start + kernels.CHUNK, total)
-        vals = kernels.bottlenecks_range(enc, start, stop, backend)
-        mask = kernels.nash_mask_range(enc, start, stop, backend)
+    for start in range(0, total, enc.chunk):
+        vals, mask = kernels.scan_range(enc, start, min(start + enc.chunk, total), backend)
         k = int(vals.argmin())
         if opt_val is None or int(vals[k]) < opt_val:
-            opt_val = int(vals[k])
-            opt_idx = start + k
-        nash_count += int(mask.sum())
-        if mask.any():
-            masked = vals[mask]
-            j = int(masked.argmax())
-            # Recover the index of that Nash profile within the chunk.
-            positions = mask.nonzero()[0]
-            cand_val = int(masked[j])
-            cand_idx = start + int(positions[j])
-            if worst_val is None or cand_val > worst_val:
-                worst_val = cand_val
-                worst_idx = cand_idx
-    assert opt_val is not None
+            opt_val, opt_idx = int(vals[k]), start + k
+        positions = mask.nonzero()[0]
+        nash_count += len(positions)
+        if nash is not None:
+            nash.extend(kernels.profile_from_index(enc, start + int(p)) for p in positions)
+        if len(positions):
+            j = positions[int(vals[positions].argmax())]
+            if worst_val is None or int(vals[j]) > worst_val:
+                worst_val, worst_idx = int(vals[j]), start + int(j)
+    if opt_val is None:
+        raise StructuralError("scan covered no profile; every game has at least one")
     if worst_val is None:
-        raise AssertionError("no Nash equilibrium found; finite games always have one")
+        raise StructuralError("no Nash equilibrium found; finite games always have one")
     return PoaReport(
         worst_nash=kernels.profile_from_index(enc, worst_idx),
         optimal=kernels.profile_from_index(enc, opt_idx),
@@ -272,3 +241,27 @@ def price_of_anarchy(
         nash_count=nash_count,
         poa=Fraction(worst_val, opt_val),
     )
+
+
+def optimal_profile(
+    game: Game, cap: int | None = None, backend: str | None = None
+) -> tuple[Profile, int]:
+    """Exhaustive argmin of the bottleneck; ties -> lexicographically first."""
+    report = _scan(game, cap, backend)
+    return report.optimal, report.C_star
+
+
+def enumerate_nash(
+    game: Game, cap: int | None = None, backend: str | None = None
+) -> list[Profile]:
+    """All weak Nash profiles, in lexicographic order."""
+    found: list[Profile] = []
+    _scan(game, cap, backend, found)
+    return found
+
+
+def price_of_anarchy(
+    game: Game, cap: int | None = None, backend: str | None = None
+) -> PoaReport:
+    """Worst Nash bottleneck over the optimal bottleneck, as an exact ratio."""
+    return _scan(game, cap, backend)

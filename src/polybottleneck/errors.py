@@ -9,6 +9,10 @@ class GameFormatError(PolyBottleneckError):
     """A game description (file or constructor input) is invalid."""
 
 
+class UsageError(PolyBottleneckError, ValueError):
+    """A parameter, command-line option or environment setting is invalid."""
+
+
 class InvalidProfileError(PolyBottleneckError):
     """A strategy profile does not match the game it is used with."""
 
@@ -26,7 +30,7 @@ class PreconditionError(PolyBottleneckError):
 
 
 class StructuralError(PolyBottleneckError):
-    """An internal invariant of the transformation broke; carries diagnostics."""
+    """An internal invariant broke; carries diagnostics."""
 
     def __init__(self, message: str, state: dict | None = None):
         super().__init__(message)

@@ -1,25 +1,25 @@
-"""State-space scan kernels.
+"""State-space scan kernel.
 
 Exhaustive enumeration over the product strategy space dominates runtime for
-the equilibrium and price-of-anarchy searches, so the per-state work (decode
-profile, accumulate congestion, check deviations) lives here in two
-interchangeable implementations:
+the equilibrium and price-of-anarchy searches.  ``scan_range`` computes the
+bottleneck and the weak-Nash flag of every profile in an index range in one
+pass, with a numba ``@njit`` loop kernel (default when numba is importable)
+or a vectorized numpy kernel.  Set ``POLYBOTTLENECK_BACKEND=numpy`` to force
+the numpy path (numba is then never imported).  Cost sums run in int64 only
+when a precomputed bound proves they fit; otherwise the numpy kernel uses an
+object-dtype delay table (exact unbounded integers).
 
-* a numba ``@njit`` loop kernel (default when numba is importable), and
-* a vectorized pure-numpy kernel processing index chunks.
-
-Set ``POLYBOTTLENECK_BACKEND=numpy`` to force the numpy path (numba is then
-never imported).  Both fixed-width paths are guarded: cost sums are computed
-in int64 only when a precomputed bound proves they fit, otherwise the numpy
-kernel runs on object-dtype delay tables (exact unbounded integers).
-
-Profiles are indexed lexicographically: player 0 varies slowest.
+The encoding is sparse: resource ids are compacted to those some strategy
+uses, so memory grows with the total strategy size, never with
+``num_resources``.  Profiles are indexed lexicographically: player 0 varies
+slowest.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,10 +41,13 @@ else:
     except ImportError:
         _HAVE_NUMBA = False
 
-# int64 margin: leaves headroom for the accumulating dot products.
+# int64 margin: leaves headroom for the accumulating sums.
 _INT64_SAFE_LIMIT = 2**62
 
 CHUNK = 8192
+# Per-profile arrays of a chunk (padded slots, congestion rows) are kept to
+# about this many int64 cells, so they stay in cache on wide games.
+_CHUNK_CELLS = 2**18
 
 
 def default_backend() -> str:
@@ -60,124 +63,127 @@ def numba_available() -> bool:
 
 @dataclass
 class GameArrays:
-    """Flat array encoding of a game for the scan kernels."""
+    """Sparse array encoding of a game for the scan kernels.  Resource ids
+    are compact (``0 .. num_used-1``); ``num_used`` is the ghost id that pads
+    strategy rows of ``table`` to equal length."""
 
-    num_players: int
-    num_resources: int
-    degree: int
+    num_used: int
     counts: np.ndarray      # (n,) strategies per player
     weights: np.ndarray     # (n,) lexicographic decode weights
     player_ptr: np.ndarray  # (n+1,) player -> first strategy row
     strat_ptr: np.ndarray   # (total_strats+1,) strategy row -> resource span
-    strat_res: np.ndarray   # concatenated resource ids
+    strat_res: np.ndarray   # concatenated compact resource ids
+    table: np.ndarray       # (total_strats, max_len) compact ids, ghost-padded
+    # Per player: its rows of ``table`` cut to its longest strategy (k, L),
+    # and shift[cur, alt, l] (k, k, L): 0 when the resource in slot l of alt
+    # is in strategy cur, else 1 (always 1 on ghost slots).
+    deviations: list[tuple[np.ndarray, np.ndarray]]
     num_states: int
+    chunk: int              # profiles per scan_range call, at most CHUNK
     int64_safe: bool
     pow_int: np.ndarray | None   # delay table c**M, int64 (only if safe)
     pow_obj: np.ndarray          # delay table, object dtype (always exact)
-    incidence: list[np.ndarray] = field(default_factory=list)  # per player (counts_i, z)
 
 
 def encode_game(game: Game) -> GameArrays:
     n = game.num_players
-    z = game.num_resources
-    counts = np.array([len(s) for s in game.strategies], dtype=np.int64)
-
-    weights = np.ones(n, dtype=np.int64)
+    counts = [len(s) for s in game.strategies]
+    weights = [1] * n
     num_states = 1
     for i in range(n - 1, -1, -1):
         weights[i] = num_states
-        num_states *= int(counts[i])
+        num_states *= counts[i]
+    player_ptr = list(itertools.accumulate(counts, initial=0))
 
-    player_ptr = np.zeros(n + 1, dtype=np.int64)
-    flat: list[tuple[int, ...]] = []
-    for i, strat_set in enumerate(game.strategies):
-        player_ptr[i + 1] = player_ptr[i] + len(strat_set)
-        flat.extend(strat_set)
-    strat_ptr = np.zeros(len(flat) + 1, dtype=np.int64)
-    for s, strategy in enumerate(flat):
-        strat_ptr[s + 1] = strat_ptr[s] + len(strategy)
-    strat_res = np.array(
-        [r for strategy in flat for r in strategy], dtype=np.int64
-    ) if flat else np.zeros(0, dtype=np.int64)
+    flat = [strategy for strat_set in game.strategies for strategy in strat_set]
+    lengths = [len(strategy) for strategy in flat]
+    resources = sorted(set(itertools.chain.from_iterable(flat)))
+    compact = {r: j for j, r in enumerate(resources)}
+    z = len(resources)
+    max_len = max(lengths)
+    table = np.array(
+        [[compact[r] for r in strategy] + [z] * (max_len - len(strategy)) for strategy in flat],
+        dtype=np.int64,
+    )
+    table.sort(axis=1)  # the membership search needs sorted rows; ghosts stay last
+
+    # shift for every strategy pair (cur, alt) of the same player, from one
+    # sorted search of alt's slots in the row-tagged entries of cur.
+    pairs = np.array(
+        [(p0 + c, p0 + a) for p0, k in zip(player_ptr, counts) for c in range(k) for a in range(k)],
+        dtype=np.int64,
+    )
+    keys = (table + (z + 1) * np.arange(len(flat))[:, None]).ravel()
+    alt = table[pairs[:, 1]]
+    query = alt + (z + 1) * pairs[:, :1]
+    hit = keys.take(np.searchsorted(keys, query), mode="clip") == query
+    shift = np.where(hit & (alt < z), 0, 1)
+    deviations = []
+    for p0, k in zip(player_ptr, counts):
+        width = max(lengths[p0:p0 + k])
+        deviations.append((
+            table[p0:p0 + k, :width],
+            shift[:k * k].reshape(k, k, max_len)[:, :, :width],
+        ))
+        shift = shift[k * k:]
 
     # Exact delay table over all reachable congestions (<= n players on a
     # resource, +1 headroom for deviation lookups).
     pow_exact = [c**game.degree for c in range(n + 2)]
-    max_len = max(len(strategy) for strategy in flat)
     int64_safe = max_len * pow_exact[-1] < _INT64_SAFE_LIMIT
-    pow_obj = np.array(pow_exact, dtype=object)
-    pow_int = np.array(pow_exact, dtype=np.int64) if int64_safe else None
-
-    incidence = []
-    for i, strat_set in enumerate(game.strategies):
-        inc = np.zeros((len(strat_set), z), dtype=np.int64)
-        for s, strategy in enumerate(strat_set):
-            inc[s, list(strategy)] = 1
-        incidence.append(inc)
-
     return GameArrays(
-        num_players=n,
-        num_resources=z,
-        degree=game.degree,
-        counts=counts,
-        weights=weights,
-        player_ptr=player_ptr,
-        strat_ptr=strat_ptr,
-        strat_res=strat_res,
+        num_used=z,
+        counts=np.array(counts, dtype=np.int64),
+        weights=np.array(weights, dtype=np.int64),
+        player_ptr=np.array(player_ptr, dtype=np.int64),
+        strat_ptr=np.array(list(itertools.accumulate(lengths, initial=0)), dtype=np.int64),
+        strat_res=table[table < z],
+        table=table,
+        deviations=deviations,
         num_states=num_states,
+        chunk=max(1, min(CHUNK, _CHUNK_CELLS // (n * max_len + z + 1))),
         int64_safe=int64_safe,
-        pow_int=pow_int,
-        pow_obj=pow_obj,
-        incidence=incidence,
+        pow_int=np.array(pow_exact, dtype=np.int64) if int64_safe else None,
+        pow_obj=np.array(pow_exact, dtype=object),
     )
 
 
 def profile_from_index(enc: GameArrays, idx: int) -> Profile:
-    out = []
-    for i in range(enc.num_players):
-        out.append(int((idx // int(enc.weights[i])) % int(enc.counts[i])))
-    return tuple(out)
+    return tuple(int((idx // int(w)) % int(c)) for w, c in zip(enc.weights, enc.counts))
 
 
 def index_of_profile(enc: GameArrays, profile: Profile) -> int:
     return int(sum(int(w) * c for w, c in zip(enc.weights, profile)))
 
 
-# ---------------------------------------------------------------------------
-# numpy kernels (vectorized over an index chunk)
-# ---------------------------------------------------------------------------
+def _scan_np(enc: GameArrays, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """The numpy kernel: congestion of a chunk from one bincount, then each
+    player's deviations from one gather into the delay table."""
+    m = stop - start
+    z = enc.num_used
+    choices = (np.arange(start, stop, dtype=np.int64)[:, None] // enc.weights) % enc.counts
+    slots = enc.table[choices + enc.player_ptr[:-1]]  # (m, n, max_len)
+    slots += (np.arange(m, dtype=np.int64) * (z + 1))[:, None, None]
+    cong = np.bincount(slots.ravel(), minlength=m * (z + 1)).reshape(m, z + 1)
+    # Ghost column: never the bottleneck, and pow[-1 + shift 1] = 0 below.
+    cong[:, z] = -1
+    bottlenecks = cong.max(axis=1)
 
-def _decode_chunk(enc: GameArrays, start: int, stop: int) -> np.ndarray:
-    idx = np.arange(start, stop, dtype=np.int64)
-    return (idx[:, None] // enc.weights[None, :]) % enc.counts[None, :]
-
-
-def _congestion_chunk(enc: GameArrays, choices: np.ndarray) -> np.ndarray:
-    cong = np.zeros((choices.shape[0], enc.num_resources), dtype=np.int64)
-    for i in range(enc.num_players):
-        cong += enc.incidence[i][choices[:, i]]
-    return cong
-
-
-def _bottlenecks_np(enc: GameArrays, start: int, stop: int) -> np.ndarray:
-    cong = _congestion_chunk(enc, _decode_chunk(enc, start, stop))
-    return cong.max(axis=1)
-
-
-def _nash_mask_np(enc: GameArrays, start: int, stop: int, pow_table: np.ndarray) -> np.ndarray:
-    choices = _decode_chunk(enc, start, stop)
-    cong = _congestion_chunk(enc, choices)
-    mask = np.ones(choices.shape[0], dtype=bool)
-    for i in range(enc.num_players):
-        inc = enc.incidence[i]
-        sel = inc[choices[:, i]]
-        # tmp[r] = delay r would have if this player used it after deviating;
-        # for currently used resources this equals the current delay.
-        tmp = pow_table[cong - sel + 1]
-        dev_all = tmp.dot(inc.T)  # (chunk, num_strategies_i)
-        cur = np.take_along_axis(dev_all, choices[:, i][:, None], axis=1)
-        mask &= np.asarray(dev_all >= cur, dtype=bool).all(axis=1)
-    return mask
+    pow_table = enc.pow_int if enc.int64_safe else enc.pow_obj
+    # Players are checked in turn, each only on the profiles still stable.
+    live = np.arange(m)
+    flat = cong.ravel()
+    for i, (alt, shift) in enumerate(enc.deviations):
+        cur = choices[live, i]
+        # dev[:, s] = cost of strategy s after moving there from cur: a slot
+        # already in cur keeps its congestion, any other gets one more user.
+        dev = pow_table[flat[(live * (z + 1))[:, None, None] + alt] + shift[cur]].sum(axis=2)
+        live = live[np.asarray(dev.min(axis=1) >= dev[np.arange(len(live)), cur], dtype=bool)]
+        if not len(live):
+            break
+    mask = np.zeros(m, dtype=bool)
+    mask[live] = True
+    return bottlenecks, mask
 
 
 # ---------------------------------------------------------------------------
@@ -255,42 +261,30 @@ if _HAVE_NUMBA:
     _nash_mask_nb = njit(cache=True)(_nash_mask_loop)
 
 
-def _resolve(backend: str | None, enc: GameArrays) -> str:
+def scan_range(
+    enc: GameArrays, start: int, stop: int, backend: str | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bottleneck congestion and weak-Nash flag per profile index in
+    [start, stop).  A profile is flagged when no player has a strictly
+    cheaper alternative (equal-cost deviations do not break equilibrium)."""
     chosen = backend or default_backend()
     if chosen == "numba" and not _HAVE_NUMBA:
         raise ValueError("numba backend requested but numba is not available")
-    if chosen == "numba" and not enc.int64_safe:
-        # Costs may exceed int64: route through the exact object-dtype path.
-        return "numpy"
-    return chosen
+    # Costs that may exceed int64 always take the exact numpy path.
+    if chosen == "numba" and enc.int64_safe:
+        args = (enc.counts, enc.weights, enc.player_ptr, enc.strat_ptr, enc.strat_res)
+        return (
+            _bottlenecks_nb(*args, enc.num_used, start, stop),
+            _nash_mask_nb(*args, enc.pow_int, enc.num_used, start, stop),
+        )
+    return _scan_np(enc, start, stop)
 
 
-def bottlenecks_range(
-    enc: GameArrays, start: int, stop: int, backend: str | None = None
-) -> np.ndarray:
+def bottlenecks_range(enc: GameArrays, start: int, stop: int, backend: str | None = None):
     """Bottleneck congestion per profile index in [start, stop)."""
-    chosen = _resolve(backend, enc)
-    if chosen == "numba":
-        return _bottlenecks_nb(
-            enc.counts, enc.weights, enc.player_ptr, enc.strat_ptr,
-            enc.strat_res, enc.num_resources, start, stop,
-        )
-    return _bottlenecks_np(enc, start, stop)
+    return scan_range(enc, start, stop, backend)[0]
 
 
-def nash_mask_range(
-    enc: GameArrays, start: int, stop: int, backend: str | None = None
-) -> np.ndarray:
-    """Weak-Nash flag per profile index in [start, stop).
-
-    A profile is flagged when no player has a strictly cheaper alternative
-    strategy (equal-cost deviations do not break equilibrium).
-    """
-    chosen = _resolve(backend, enc)
-    if chosen == "numba":
-        return _nash_mask_nb(
-            enc.counts, enc.weights, enc.player_ptr, enc.strat_ptr,
-            enc.strat_res, enc.pow_int, enc.num_resources, start, stop,
-        )
-    table = enc.pow_int if enc.int64_safe else enc.pow_obj
-    return _nash_mask_np(enc, start, stop, table)
+def nash_mask_range(enc: GameArrays, start: int, stop: int, backend: str | None = None):
+    """Weak-Nash flag per profile index in [start, stop)."""
+    return scan_range(enc, start, stop, backend)[1]

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Any
 
 from . import equilibria
-from .errors import StateSpaceTooLargeError
+from .errors import StateSpaceTooLargeError, UsageError
 from .game_core import Game, Profile, bottleneck, congestion_of
 
 
@@ -64,9 +64,9 @@ def generate(n: int, degree: int, resource_cap: int = 10**6) -> LowerBoundInstan
     every other player is exactly indifferent.
     """
     if n < 2:
-        raise ValueError(f"need n >= 2 players, got {n}")
+        raise UsageError(f"need n >= 2 players, got {n}")
     if degree < 1:
-        raise ValueError(f"degree must be >= 1, got {degree}")
+        raise UsageError(f"degree must be >= 1, got {degree}")
     path_len = n**degree
     num_resources = n ** (degree + 1)
     if num_resources > resource_cap:

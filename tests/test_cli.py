@@ -17,6 +17,13 @@ def family_file(tmp_path):
     return path
 
 
+def assert_usage_error(rc, err):
+    """Exit 2 with one ``error:`` line and no traceback."""
+    assert rc == 2
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def high_multi_game() -> Game:
     """Worst equilibrium has a two-resource player on the crowded resource."""
     players = []
@@ -57,6 +64,17 @@ class TestAnalyze:
     def test_usage_error(self):
         assert main(["analyze"]) == 2
         assert main(["no-such-command"]) == 2
+
+    def test_missing_file_is_usage_error(self, tmp_path, capsys):
+        rc = main(["analyze", str(tmp_path / "nonexistent.json")])
+        assert_usage_error(rc, capsys.readouterr().err)
+
+    def test_bad_state_cap_env_is_usage_error(self, family_file, capsys, monkeypatch):
+        monkeypatch.setenv("POLYBOTTLENECK_STATE_CAP", "abc")
+        rc = main(["analyze", family_file])
+        err = capsys.readouterr().err
+        assert_usage_error(rc, err)
+        assert "POLYBOTTLENECK_STATE_CAP" in err
 
 
 class TestSuite:
@@ -142,6 +160,10 @@ class TestLowerBound:
         assert game.num_players == 3
         assert game.num_resources == 9
 
+    def test_too_few_players_is_usage_error(self, capsys):
+        rc = main(["lower-bound", "--n", "1", "--degree", "1"])
+        assert_usage_error(rc, capsys.readouterr().err)
+
 
 class TestSweep:
     def test_tsv_table_matches_family(self, capsys):
@@ -155,3 +177,7 @@ class TestSweep:
             assert int(row[1]) == n * n
             assert float(row[2]) == float(n)
             assert float(row[4]) >= float(row[2])  # bound dominates measured PoA
+
+    def test_malformed_range_is_usage_error(self, capsys):
+        rc = main(["sweep", "--degree", "1", "--n-range", "5"])
+        assert_usage_error(rc, capsys.readouterr().err)
