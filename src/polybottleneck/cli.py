@@ -62,9 +62,7 @@ def _suite_record(game: Game, index: int, rng: np.random.Generator, cap: int | N
         brd_ok = brd_ok and result.moves <= budget and result.is_nash
     record["brd_converges"] = brd_ok
 
-    tsg = transform.transform_to_singletons(
-        game, poa.worst_nash, poa.optimal, validate=True
-    )
+    tsg = transform.transform_to_singletons(game, poa.worst_nash, poa.optimal)
     record["transform_no_op"] = tsg.no_op
     domination = transform.verify_domination(game, poa.worst_nash, tsg, strict=False)
     record["domination_ok"] = domination.all_ok
@@ -113,9 +111,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
     game = load_game(args.game)
     poa = equilibria.price_of_anarchy(game, cap=args.cap)
     trace: list | None = [] if args.trace else None
-    tsg = transform.transform_to_singletons(
-        game, poa.worst_nash, poa.optimal, validate=True, trace=trace
-    )
+    tsg = transform.transform_to_singletons(game, poa.worst_nash, poa.optimal, trace=trace)
     if trace is not None:
         for line in trace:
             print(json.dumps(line, sort_keys=True), file=sys.stderr)
@@ -131,9 +127,7 @@ def cmd_expansion(args: argparse.Namespace) -> int:
     game = load_game(args.game)
     poa = equilibria.price_of_anarchy(game, cap=args.cap)
     if args.transform_first:
-        tsg = transform.transform_to_singletons(
-            game, poa.worst_nash, poa.optimal, validate=True
-        )
+        tsg = transform.transform_to_singletons(game, poa.worst_nash, poa.optimal)
         graph = expansion.build_resource_graph(tsg)
     else:
         graph = expansion.build_resource_graph_from_game(

@@ -2,7 +2,7 @@
 
 Single-profile checks (best response, weak Nash, Rosenthal potential) run in
 exact Python integer arithmetic.  Whole-space searches (optimal state, Nash
-enumeration, price of anarchy) run through the scan kernels and honour a
+enumeration, price of anarchy) run through the scan kernel and honour a
 configurable state-count cap.
 """
 
@@ -166,10 +166,11 @@ def best_response_dynamics(
             profile[player] = best_idx
             moves += 1
             new_potential = rosenthal_potential(game, profile)
-            # ΔΦ must equal the mover's cost change exactly.
-            assert potential - new_potential == cur - best_cost, (
-                potential, new_potential, cur, best_cost,
-            )
+            if potential - new_potential != cur - best_cost:
+                raise StructuralError(
+                    f"potential fell {potential} -> {new_potential} but the mover's "
+                    f"cost fell {cur} -> {best_cost}"
+                )
             potential = new_potential
             stable_streak = 0
         else:
@@ -202,9 +203,7 @@ def enumerate_states(game: Game, cap: int | None = None) -> Iterator[Profile]:
     return itertools.product(*ranges)
 
 
-def _scan(
-    game: Game, cap: int | None, backend: str | None, nash: list[Profile] | None = None
-) -> PoaReport:
+def _scan(game: Game, cap: int | None, nash: list[Profile] | None = None) -> PoaReport:
     """One pass over every profile: optimum, worst Nash state, Nash count,
     and, into ``nash`` if given, every Nash profile in order.  Ties go to the
     lexicographically first profile: argmin/argmax pick the first hit inside
@@ -217,7 +216,7 @@ def _scan(
     worst_idx = 0
     nash_count = 0
     for start in range(0, total, enc.chunk):
-        vals, mask = kernels.scan_range(enc, start, min(start + enc.chunk, total), backend)
+        vals, mask = kernels.scan_range(enc, start, min(start + enc.chunk, total))
         k = int(vals.argmin())
         if opt_val is None or int(vals[k]) < opt_val:
             opt_val, opt_idx = int(vals[k]), start + k
@@ -243,25 +242,19 @@ def _scan(
     )
 
 
-def optimal_profile(
-    game: Game, cap: int | None = None, backend: str | None = None
-) -> tuple[Profile, int]:
+def optimal_profile(game: Game, cap: int | None = None) -> tuple[Profile, int]:
     """Exhaustive argmin of the bottleneck; ties -> lexicographically first."""
-    report = _scan(game, cap, backend)
+    report = _scan(game, cap)
     return report.optimal, report.C_star
 
 
-def enumerate_nash(
-    game: Game, cap: int | None = None, backend: str | None = None
-) -> list[Profile]:
+def enumerate_nash(game: Game, cap: int | None = None) -> list[Profile]:
     """All weak Nash profiles, in lexicographic order."""
     found: list[Profile] = []
-    _scan(game, cap, backend, found)
+    _scan(game, cap, found)
     return found
 
 
-def price_of_anarchy(
-    game: Game, cap: int | None = None, backend: str | None = None
-) -> PoaReport:
+def price_of_anarchy(game: Game, cap: int | None = None) -> PoaReport:
     """Worst Nash bottleneck over the optimal bottleneck, as an exact ratio."""
-    return _scan(game, cap, backend)
+    return _scan(game, cap)

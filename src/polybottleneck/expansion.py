@@ -146,98 +146,6 @@ def check_expansion(rg: ResourceGraph, x: int) -> tuple[int, Fraction, bool]:
     return lhs, rhs, lhs >= rhs
 
 
-@dataclass(frozen=True)
-class ExpansionDag:
-    """Condensation of a resource graph: one node per strongly connected
-    component, edges deduplicated, acyclic by construction."""
-
-    components: tuple[tuple[int, ...], ...]
-    edges: frozenset[tuple[int, int]]
-    component_of: dict[int, int]
-
-    @property
-    def num_nodes(self) -> int:
-        return len(self.components)
-
-
-def _tarjan_sccs(nodes: list[int], adjacency: dict[int, list[int]]) -> list[list[int]]:
-    index: dict[int, int] = {}
-    lowlink: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    sccs: list[list[int]] = []
-    counter = 0
-    for root in nodes:
-        if root in index:
-            continue
-        work = [(root, 0)]
-        while work:
-            node, ptr = work[-1]
-            if ptr == 0:
-                index[node] = lowlink[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack.add(node)
-            advanced = False
-            neighbors = adjacency.get(node, [])
-            while ptr < len(neighbors):
-                nxt = neighbors[ptr]
-                ptr += 1
-                if nxt not in index:
-                    work[-1] = (node, ptr)
-                    work.append((nxt, 0))
-                    advanced = True
-                    break
-                if nxt in on_stack:
-                    lowlink[node] = min(lowlink[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == index[node]:
-                comp = []
-                while True:
-                    top = stack.pop()
-                    on_stack.discard(top)
-                    comp.append(top)
-                    if top == node:
-                        break
-                sccs.append(sorted(comp))
-    return sccs
-
-
-def build_expansion_dag(rg: ResourceGraph) -> ExpansionDag:
-    """Collapse strongly connected components into single nodes.
-
-    This is a best-effort acyclic view used for inspection only; the
-    certified inequalities go through ``check_expansion`` and
-    ``descendant_count_check`` on the resource graph itself.
-    """
-    nodes = list(range(rg.num_resources))
-    adjacency = {
-        x: sorted(set(ys)) for x, ys in rg.children.items()
-    }
-    sccs = _tarjan_sccs(nodes, adjacency)
-    sccs.sort(key=lambda comp: comp[0])
-    component_of = {}
-    for idx, comp in enumerate(sccs):
-        for node in comp:
-            component_of[node] = idx
-    edges = set()
-    for x, ys in adjacency.items():
-        for y in ys:
-            a, b = component_of[x], component_of[y]
-            if a != b:
-                edges.add((a, b))
-    return ExpansionDag(
-        components=tuple(tuple(c) for c in sccs),
-        edges=frozenset(edges),
-        component_of=component_of,
-    )
-
-
 def descendant_count_check(rg: ResourceGraph, root: int) -> tuple[int, bool]:
     """Reachability form of the counting bound, exact.
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import equilibria
+from .errors import StructuralError
 from .game_core import Game, Profile, bottleneck, congestion_of
 
 
@@ -130,7 +131,10 @@ def forced_congestion_game(
     state_opt = tuple([1] * len(players))
 
     # The construction is exactly indifferent; fail loudly if assembly broke it.
-    assert equilibria.is_nash(game, state_eq), "forced game is not in equilibrium"
-    assert bottleneck(congestion_of(game, state_opt)) == 1
-    assert bottleneck(congestion_of(game, state_eq)) > thr
+    if not equilibria.is_nash(game, state_eq):
+        raise StructuralError("forced game is not in equilibrium")
+    if bottleneck(congestion_of(game, state_opt)) != 1:
+        raise StructuralError("forced game has optimal bottleneck above 1")
+    if bottleneck(congestion_of(game, state_eq)) <= thr:
+        raise StructuralError(f"forced game equilibrium bottleneck is not above {thr}")
     return game, state_eq, state_opt

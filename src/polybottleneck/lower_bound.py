@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Any
 
 from . import equilibria
-from .errors import StateSpaceTooLargeError, UsageError
+from .errors import StateSpaceTooLargeError, StructuralError, UsageError
 from .game_core import Game, Profile, bottleneck, congestion_of
 
 
@@ -89,17 +89,13 @@ def generate(n: int, degree: int, resource_cap: int = 10**6) -> LowerBoundInstan
     )
 
 
-def verify(
-    instance: LowerBoundInstance,
-    cap: int | None = None,
-    backend: str | None = None,
-) -> LowerBoundReport:
+def verify(instance: LowerBoundInstance, cap: int | None = None) -> LowerBoundReport:
     """Check the constructed states and measure the exact price of anarchy."""
     game = instance.game
     direct_is_nash = equilibria.is_nash(game, instance.state_all_direct)
     direct_c = bottleneck(congestion_of(game, instance.state_all_direct))
     paths_c = bottleneck(congestion_of(game, instance.state_all_paths))
-    poa_report = equilibria.price_of_anarchy(game, cap=cap, backend=backend)
+    poa_report = equilibria.price_of_anarchy(game, cap=cap)
     value = instance.num_resources ** (1.0 / (instance.degree + 1))
     report = LowerBoundReport(
         n=instance.n,
@@ -118,5 +114,5 @@ def verify(
         ),
     )
     if not report.exact_match:
-        raise AssertionError(f"lower-bound construction is broken: {report.to_dict()}")
+        raise StructuralError(f"lower-bound construction is broken: {report.to_dict()}")
     return report

@@ -168,7 +168,7 @@ class TwoStrategyGame:
             if not self.in_equilibrium(pid):
                 raise StructuralError(
                     f"player {pid} is no longer in equilibrium",
-                    state=self.snapshot(),
+                    state=self.to_dict(),
                 )
 
     # -- views ----------------------------------------------------------------
@@ -185,23 +185,6 @@ class TwoStrategyGame:
                 players.append([list(p.eq_strategy), list(p.opt_strategy)])
         game = Game.build(self.num_resources, self.degree, players)
         return game, tuple([0] * len(players))
-
-    def snapshot(self) -> dict[str, Any]:
-        return {
-            "num_resources": self.num_resources,
-            "degree": self.degree,
-            "threshold": self.threshold,
-            "eq_bottleneck": self.eq_bottleneck,
-            "opt_bottleneck": self.opt_bottleneck,
-            "players": {
-                pid: {
-                    "eq": list(p.eq_strategy),
-                    "opt": list(p.opt_strategy),
-                    "marked": p.marked,
-                }
-                for pid, p in sorted(self.players.items())
-            },
-        }
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -254,7 +237,7 @@ def init_two_strategy(
     return tsg
 
 
-def clean_game(tsg: TwoStrategyGame, validate: bool = True) -> TwoStrategyGame:
+def clean_game(tsg: TwoStrategyGame) -> TwoStrategyGame:
     """Separate each multi player's equilibrium and tracked strategies.
 
     A multi player whose strategies overlap is split into one singleton
@@ -308,15 +291,18 @@ def clean_game(tsg: TwoStrategyGame, validate: bool = True) -> TwoStrategyGame:
                     tsg.record("prune", player=pid, removed=r)
                     break
 
-    if validate:
-        assert np.array_equal(tsg.eq_congestion(), before_eq)
-        # Splitting preserves tracked congestion; pruning may only lower it.
-        assert bool(np.all(tsg.opt_congestion() <= before_opt))
-        tsg.check_equilibrium()
-        for pid in tsg.player_ids():
-            p = tsg.players[pid]
-            if not p.is_singleton:
-                assert not set(p.eq_strategy) & set(p.opt_strategy)
+    if not np.array_equal(tsg.eq_congestion(), before_eq):
+        raise StructuralError("cleaning changed the equilibrium congestion", state=tsg.to_dict())
+    # Splitting preserves tracked congestion; pruning may only lower it.
+    if bool(np.any(tsg.opt_congestion() > before_opt)):
+        raise StructuralError("cleaning raised a tracked congestion", state=tsg.to_dict())
+    tsg.check_equilibrium()
+    for pid in tsg.player_ids():
+        p = tsg.players[pid]
+        if not p.is_singleton and set(p.eq_strategy) & set(p.opt_strategy):
+            raise StructuralError(
+                f"multi player {pid} still overlaps its tracked strategy", state=tsg.to_dict()
+            )
     return tsg
 
 
@@ -417,7 +403,7 @@ def partition_pairs(tsg: TwoStrategyGame, pid: int) -> list[PartitionPair]:
     return greedy_cover_pairs(eq_items, opt_items, tsg.degree)
 
 
-def split_player(tsg: TwoStrategyGame, pid: int, validate: bool = True) -> list[int]:
+def split_player(tsg: TwoStrategyGame, pid: int) -> list[int]:
     """Replace a multi player by one sub-player per cover pair.
 
     Equilibrium congestion is untouched; every sub-player is in equilibrium
@@ -427,24 +413,31 @@ def split_player(tsg: TwoStrategyGame, pid: int, validate: bool = True) -> list[
     old_cost = tsg.cost(pid)
     old_opt = tsg.players[pid].opt_strategy
     max_opt_c = max(int(tsg._eq_cong[r]) for r in old_opt) if old_opt else 0
-    before_eq = tsg.eq_congestion() if validate else None
+    before_eq = tsg.eq_congestion()
     tsg.remove_player(pid)
     new_ids = [tsg.add_player(p.eq_part, p.opt_part) for p in pairs]
     tsg.record("split", player=pid, new_ids=new_ids,
                pairs=[[list(p.eq_part), list(p.opt_part)] for p in pairs])
-    if validate:
-        assert np.array_equal(tsg.eq_congestion(), before_eq)
-        cap = delay(max_opt_c + 1, tsg.degree)
-        for nid in new_ids:
-            c = tsg.cost(nid)
-            assert c <= old_cost, (nid, c, old_cost)
-            if not tsg.players[nid].is_singleton:
-                assert c <= cap, (nid, c, cap)
-            if not tsg.in_equilibrium(nid):
-                raise StructuralError(
-                    f"sub-player {nid} of {pid} is not in equilibrium",
-                    state=tsg.snapshot(),
-                )
+    if not np.array_equal(tsg.eq_congestion(), before_eq):
+        raise StructuralError(
+            f"splitting player {pid} changed the equilibrium congestion", state=tsg.to_dict()
+        )
+    cap = delay(max_opt_c + 1, tsg.degree)
+    for nid in new_ids:
+        c = tsg.cost(nid)
+        if c > old_cost:
+            raise StructuralError(
+                f"sub-player {nid} of {pid} costs {c}, more than {old_cost}", state=tsg.to_dict()
+            )
+        if not tsg.players[nid].is_singleton and c > cap:
+            raise StructuralError(
+                f"multi sub-player {nid} of {pid} costs {c}, above {cap}", state=tsg.to_dict()
+            )
+        if not tsg.in_equilibrium(nid):
+            raise StructuralError(
+                f"sub-player {nid} of {pid} is not in equilibrium",
+                state=tsg.to_dict(),
+            )
     return new_ids
 
 
@@ -472,7 +465,7 @@ def eliminate_high_congestion(tsg: TwoStrategyGame, phase: PhaseState, pid: int)
         if not hosts:
             raise StructuralError(
                 f"no singleton player available on over-congested resource {x}",
-                state=tsg.snapshot(),
+                state=tsg.to_dict(),
             )
         hosts.sort(key=lambda qid: (-len(tsg.players[qid].opt_strategy), qid))
         cost = tsg.cost(pid)
@@ -499,7 +492,7 @@ def eliminate_high_congestion(tsg: TwoStrategyGame, phase: PhaseState, pid: int)
         if chosen is None:
             raise StructuralError(
                 f"no usable donor on over-congested resource {x} for player {pid}",
-                state=tsg.snapshot(),
+                state=tsg.to_dict(),
             )
         qid, fset = chosen
         before_opt = tsg.opt_congestion()
@@ -511,7 +504,7 @@ def eliminate_high_congestion(tsg: TwoStrategyGame, phase: PhaseState, pid: int)
         if bool(np.any(after_opt > before_opt)):
             raise StructuralError(
                 "tracked congestion increased during elimination",
-                state=tsg.snapshot(),
+                state=tsg.to_dict(),
             )
 
 
@@ -527,37 +520,41 @@ def _band(tsg: TwoStrategyGame, level: int) -> list[int]:
     return out
 
 
-def run_phase(tsg: TwoStrategyGame, level: int, validate: bool = True) -> PhaseState:
+def run_phase(tsg: TwoStrategyGame, level: int) -> PhaseState:
     """Erase all multi players with cost above level**degree at this level."""
     phase = PhaseState(level=level)
     level_cost = delay(level, tsg.degree)
     upper_cost = delay(level + 1, tsg.degree)
 
-    if validate:
-        for pid in tsg.player_ids():
-            p = tsg.players[pid]
-            if p.is_singleton:
-                continue
-            assert tsg.cost(pid) <= upper_cost, (
-                f"multi player {pid} above the band at level {level}"
+    for pid in tsg.player_ids():
+        p = tsg.players[pid]
+        if p.is_singleton:
+            continue
+        if tsg.cost(pid) > upper_cost:
+            raise StructuralError(
+                f"multi player {pid} above the band at level {level}", state=tsg.to_dict()
             )
-            for r in p.eq_strategy:
-                assert int(tsg._eq_cong[r]) <= level, (
-                    f"multi player {pid} plays over-congested resource {r}"
+        for r in p.eq_strategy:
+            if int(tsg._eq_cong[r]) > level:
+                raise StructuralError(
+                    f"multi player {pid} plays over-congested resource {r}", state=tsg.to_dict()
                 )
 
     phase.band = _band(tsg, level)
     for pid in phase.band:
-        split_player(tsg, pid, validate=validate)
+        split_player(tsg, pid)
         phase.splits += 1
 
     # Survivors of the band now track exactly one resource, congested at
     # least to the level.
     survivors = _band(tsg, level)
     for pid in survivors:
-        p = tsg.players[pid]
-        assert len(p.opt_strategy) == 1, (pid, p.opt_strategy)
-        assert int(tsg._eq_cong[p.opt_strategy[0]]) >= level
+        opt = tsg.players[pid].opt_strategy
+        if len(opt) != 1 or int(tsg._eq_cong[opt[0]]) < level:
+            raise StructuralError(
+                f"band survivor {pid} is not tracked to one resource at level {level} "
+                f"or above", state=tsg.to_dict()
+            )
 
     qualified = list(survivors)
     for pid in tsg.player_ids():
@@ -590,28 +587,27 @@ def run_phase(tsg: TwoStrategyGame, level: int, validate: bool = True) -> PhaseS
             phase.locked.append(pid)
         elif not p.is_singleton:
             raise StructuralError(
-                f"multi player {pid} fits neither phase bucket", state=tsg.snapshot()
+                f"multi player {pid} fits neither phase bucket", state=tsg.to_dict()
             )
 
     for pid in phase.spread:
         if not tsg.players[pid].is_singleton:
-            split_player(tsg, pid, validate=validate)
+            split_player(tsg, pid)
             phase.splits += 1
 
-    _resolve_locked(tsg, phase, validate)
+    _resolve_locked(tsg, phase)
 
-    if validate:
-        for pid in tsg.player_ids():
-            if not tsg.players[pid].is_singleton:
-                assert tsg.cost(pid) <= level_cost, (
-                    f"multi player {pid} still above level {level}"
-                )
-        tsg.check_equilibrium()
+    for pid in tsg.player_ids():
+        if not tsg.players[pid].is_singleton and tsg.cost(pid) > level_cost:
+            raise StructuralError(
+                f"multi player {pid} still above level {level}", state=tsg.to_dict()
+            )
+    tsg.check_equilibrium()
     tsg.record("phase", level=level, splits=phase.splits, markings=phase.markings)
     return phase
 
 
-def _resolve_locked(tsg: TwoStrategyGame, phase: PhaseState, validate: bool) -> None:
+def _resolve_locked(tsg: TwoStrategyGame, phase: PhaseState) -> None:
     """Transform multi players tracked to a single level resource.
 
     Each round picks an unmarked singleton donor from the level resources in
@@ -641,24 +637,24 @@ def _resolve_locked(tsg: TwoStrategyGame, phase: PhaseState, validate: bool) -> 
         player = tsg.players[pid]
         if phase.markings >= mark_budget:
             raise StructuralError(
-                f"marking budget exhausted at level {level}", state=tsg.snapshot()
+                f"marking budget exhausted at level {level}", state=tsg.to_dict()
             )
         donor_pick = _pick_donor(tsg, phase, player)
         if donor_pick is None:
             raise StructuralError(
                 f"no unmarked donor available at level {level} for player {pid}",
-                state=tsg.snapshot(),
+                state=tsg.to_dict(),
             )
         qid, resource, position = donor_pick
         donor = tsg.players[qid]
         merged = sorted(set(donor.opt_strategy) | set(player.opt_strategy))
         player.opt_strategy = tuple(merged)
-        if validate and not tsg.in_equilibrium(pid):
+        if not tsg.in_equilibrium(pid):
             raise StructuralError(
                 f"merged tracked strategy broke equilibrium of {pid}",
-                state=tsg.snapshot(),
+                state=tsg.to_dict(),
             )
-        new_ids = split_player(tsg, pid, validate=validate)
+        new_ids = split_player(tsg, pid)
         phase.splits += 1
         donor.opt_strategy = (resource,)
         donor.marked = True
@@ -675,7 +671,7 @@ def _resolve_locked(tsg: TwoStrategyGame, phase: PhaseState, validate: bool) -> 
             if len(p.opt_strategy) == 1:
                 queue.append(nid)
             else:
-                split_player(tsg, nid, validate=validate)
+                split_player(tsg, nid)
                 phase.splits += 1
 
 
@@ -712,7 +708,6 @@ def transform_to_singletons(
     game: Game,
     nash_profile: Sequence[int],
     optimal_profile: Sequence[int],
-    validate: bool = True,
     trace: list | None = None,
 ) -> TwoStrategyGame:
     """Rewrite the game, in its given equilibrium, so that every resource with
@@ -721,7 +716,7 @@ def transform_to_singletons(
     exactly; the tracked optimal bottleneck is checked by
     ``verify_domination``."""
     tsg = init_two_strategy(game, nash_profile, optimal_profile, trace=trace)
-    clean_game(tsg, validate=validate)
+    clean_game(tsg)
     if tsg.eq_bottleneck <= tsg.threshold:
         tsg.no_op = True
         tsg.record("no_op", reason="bottleneck at or below threshold")
@@ -736,21 +731,26 @@ def transform_to_singletons(
     ]
     heavy.sort(key=lambda pid: (-tsg.cost(pid), pid))
     for pid in heavy:
-        split_player(tsg, pid, validate=validate)
+        split_player(tsg, pid)
 
     for level in range(tsg.eq_bottleneck, tsg.threshold, -1):
-        run_phase(tsg, level, validate=validate)
+        run_phase(tsg, level)
 
-    if validate:
-        assert np.array_equal(tsg.eq_congestion(), before_eq)
-        tsg.check_equilibrium()
-        for pid in tsg.player_ids():
-            p = tsg.players[pid]
-            if not p.is_singleton:
-                for r in p.eq_strategy:
-                    assert int(tsg._eq_cong[r]) <= tsg.threshold, (
-                        f"multi player {pid} left on over-congested resource {r}"
-                    )
+    if not np.array_equal(tsg.eq_congestion(), before_eq):
+        raise StructuralError(
+            "the transformation changed the equilibrium congestion", state=tsg.to_dict()
+        )
+    tsg.check_equilibrium()
+    for pid in tsg.player_ids():
+        p = tsg.players[pid]
+        if p.is_singleton:
+            continue
+        for r in p.eq_strategy:
+            if int(tsg._eq_cong[r]) > tsg.threshold:
+                raise StructuralError(
+                    f"multi player {pid} left on over-congested resource {r}",
+                    state=tsg.to_dict(),
+                )
     return tsg
 
 

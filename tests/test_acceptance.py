@@ -52,7 +52,7 @@ def forced_games_50():
 def transformed_50(forced_games_50):
     out = []
     for game, s_eq, s_opt in forced_games_50:
-        tsg = transform.transform_to_singletons(game, s_eq, s_opt, validate=True)
+        tsg = transform.transform_to_singletons(game, s_eq, s_opt)
         out.append((game, s_eq, s_opt, tsg))
     return out
 

@@ -1,9 +1,13 @@
+import ast
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import polybottleneck
 from polybottleneck import lower_bound
 from polybottleneck.cli import main
 from polybottleneck.game_core import Game, load_game, save_game
@@ -86,11 +90,16 @@ class TestSuite:
         assert all(r["pass"] for r in payload["records"])
 
     def test_identical_seed_identical_bytes(self):
+        # the child imports the same package as this process, installed or not
+        src = str(Path(polybottleneck.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
         def run():
             return subprocess.run(
                 [sys.executable, "-m", "polybottleneck.cli",
                  "suite", "--count", "4", "--seed", "9"],
-                capture_output=True,
+                capture_output=True, env=env,
             )
         first, second = run(), run()
         assert first.returncode == 0
@@ -163,6 +172,17 @@ class TestLowerBound:
     def test_too_few_players_is_usage_error(self, capsys):
         rc = main(["lower-bound", "--n", "1", "--degree", "1"])
         assert_usage_error(rc, capsys.readouterr().err)
+
+
+def test_package_has_no_assert_statements():
+    # `python -O` strips asserts, so invariants must raise the package's errors.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(polybottleneck.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, found
 
 
 class TestSweep:

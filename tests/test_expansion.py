@@ -9,7 +9,6 @@ from polybottleneck import equilibria, generators, lower_bound, transform
 from polybottleneck.errors import PreconditionError
 from polybottleneck.expansion import (
     ResourceGraph,
-    build_expansion_dag,
     build_resource_graph,
     build_resource_graph_from_game,
     check_expansion,
@@ -124,59 +123,6 @@ class TestCheckExpansion:
         rg = star_graph()
         with pytest.raises(PreconditionError):
             check_expansion(rg, 1)
-
-
-class TestExpansionDag:
-    def test_acyclic_graph_is_isomorphic(self):
-        congestion = np.array([5, 5, 1], dtype=np.int64)
-        rg = ResourceGraph(
-            congestion=congestion, degree=1, threshold=3, opt_cap=1,
-            children={0: (1,), 1: (2,)}, v1=frozenset({0, 1}),
-        )
-        dag = build_expansion_dag(rg)
-        assert dag.num_nodes == 3
-        assert all(len(c) == 1 for c in dag.components)
-
-    def test_two_cycle_merges(self):
-        congestion = np.array([5, 5], dtype=np.int64)
-        rg = ResourceGraph(
-            congestion=congestion, degree=1, threshold=3, opt_cap=1,
-            children={0: (1,), 1: (0,)}, v1=frozenset({0, 1}),
-        )
-        dag = build_expansion_dag(rg)
-        assert dag.num_nodes == 1
-        assert dag.components[0] == (0, 1)
-
-    def test_never_larger_than_input(self):
-        for seed in range(5):
-            rng = np.random.default_rng(seed)
-            game, s_eq, s_opt = generators.forced_congestion_game(rng)
-            tsg = transform.transform_to_singletons(game, s_eq, s_opt)
-            rg = build_resource_graph(tsg)
-            dag = build_expansion_dag(rg)
-            assert dag.num_nodes <= rg.num_resources
-            # acyclicity: edges only between distinct components, and a
-            # topological order exists
-            order = {c: i for i, c in enumerate(_topological(dag))}
-            for a, b in dag.edges:
-                assert order[a] < order[b]
-
-
-def _topological(dag):
-    indeg = {i: 0 for i in range(dag.num_nodes)}
-    for _, b in dag.edges:
-        indeg[b] += 1
-    frontier = sorted(i for i, d in indeg.items() if d == 0)
-    out = []
-    while frontier:
-        node = frontier.pop(0)
-        out.append(node)
-        for a, b in sorted(dag.edges):
-            if a == node:
-                indeg[b] -= 1
-                if indeg[b] == 0:
-                    frontier.append(b)
-    return out
 
 
 class TestDescendantCount:

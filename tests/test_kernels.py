@@ -1,6 +1,5 @@
+import itertools
 import json
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -12,12 +11,82 @@ from polybottleneck.game_core import Game, save_game
 from conftest import oracle_congestion, oracle_is_nash
 
 
-def scan_all(enc, fn, backend):
+def scan_all(enc, fn):
     chunks = []
     for start in range(0, enc.num_states, 7):  # odd chunk size on purpose
         stop = min(start + 7, enc.num_states)
-        chunks.append(fn(enc, start, stop, backend))
+        chunks.append(fn(enc, start, stop))
     return np.concatenate(chunks)
+
+
+# Scalar loop form of the scan, kept as a reference for the vectorized
+# kernel: congestion is recounted for every profile, and each deviation adds
+# one user only on resources the player does not already use.
+
+def bottlenecks_loop(counts, weights, player_ptr, strat_ptr, strat_res, z, start, stop):
+    n = counts.shape[0]
+    out = np.zeros(stop - start, dtype=np.int64)
+    cong = np.zeros(z, dtype=np.int64)
+    for k in range(stop - start):
+        idx = start + k
+        for r in range(z):
+            cong[r] = 0
+        for i in range(n):
+            c = (idx // weights[i]) % counts[i]
+            row = player_ptr[i] + c
+            for e in range(strat_ptr[row], strat_ptr[row + 1]):
+                cong[strat_res[e]] += 1
+        best = 0
+        for r in range(z):
+            if cong[r] > best:
+                best = cong[r]
+        out[k] = best
+    return out
+
+
+def nash_mask_loop(counts, weights, player_ptr, strat_ptr, strat_res, pow_table, z, start, stop):
+    n = counts.shape[0]
+    out = np.ones(stop - start, dtype=np.bool_)
+    cong = np.zeros(z, dtype=np.int64)
+    used = np.zeros(z, dtype=np.bool_)
+    for k in range(stop - start):
+        idx = start + k
+        for r in range(z):
+            cong[r] = 0
+        for i in range(n):
+            c = (idx // weights[i]) % counts[i]
+            row = player_ptr[i] + c
+            for e in range(strat_ptr[row], strat_ptr[row + 1]):
+                cong[strat_res[e]] += 1
+        ok = True
+        for i in range(n):
+            c = (idx // weights[i]) % counts[i]
+            row = player_ptr[i] + c
+            cur = np.int64(0)
+            for e in range(strat_ptr[row], strat_ptr[row + 1]):
+                r = strat_res[e]
+                used[r] = True
+                cur += pow_table[cong[r]]
+            for s in range(counts[i]):
+                if s == c:
+                    continue
+                alt = player_ptr[i] + s
+                dev = np.int64(0)
+                for e in range(strat_ptr[alt], strat_ptr[alt + 1]):
+                    r = strat_res[e]
+                    if used[r]:
+                        dev += pow_table[cong[r]]
+                    else:
+                        dev += pow_table[cong[r] + 1]
+                if dev < cur:
+                    ok = False
+                    break
+            for e in range(strat_ptr[row], strat_ptr[row + 1]):
+                used[strat_res[e]] = False
+            if not ok:
+                break
+        out[k] = ok
+    return out
 
 
 def array_bytes(value) -> int:
@@ -84,7 +153,7 @@ class TestEncoding:
         game = Game.build(2, 40, [[[0, 1]], [[0], [1]], [[0], [1]]])
         enc = kernels.encode_game(game)
         assert not enc.int64_safe
-        assert enc.pow_int is None
+        assert enc.pow_table.dtype == object
 
 
 class TestBackendAgreement:
@@ -93,18 +162,12 @@ class TestBackendAgreement:
         rng = np.random.default_rng(seed)
         game = generators.random_game(rng)
         enc = kernels.encode_game(game)
-        backends = ["numpy"]
-        if kernels.numba_available():
-            backends.append("numba")
-        results = {b: scan_all(enc, kernels.bottlenecks_range, b) for b in backends}
-        masks = {b: scan_all(enc, kernels.nash_mask_range, b) for b in backends}
-        for b in backends[1:]:
-            assert np.array_equal(results[b], results[backends[0]])
-            assert np.array_equal(masks[b], masks[backends[0]])
+        bottlenecks = scan_all(enc, kernels.bottlenecks_range)
+        mask = scan_all(enc, kernels.nash_mask_range)
         for idx in range(enc.num_states):
             profile = kernels.profile_from_index(enc, idx)
-            assert results[backends[0]][idx] == max(oracle_congestion(game, profile))
-            assert bool(masks[backends[0]][idx]) == oracle_is_nash(game, profile)
+            assert bottlenecks[idx] == max(oracle_congestion(game, profile))
+            assert bool(mask[idx]) == oracle_is_nash(game, profile)
 
     def test_object_dtype_path_is_exact(self):
         # degree large enough that int64 would overflow: the kernel must fall
@@ -112,7 +175,7 @@ class TestBackendAgreement:
         game = Game.build(2, 41, [[[0], [1]], [[0], [1]], [[0], [1]]])
         enc = kernels.encode_game(game)
         assert not enc.int64_safe
-        mask = scan_all(enc, kernels.nash_mask_range, "numpy")
+        mask = scan_all(enc, kernels.nash_mask_range)
         for idx in range(enc.num_states):
             profile = kernels.profile_from_index(enc, idx)
             assert bool(mask[idx]) == oracle_is_nash(game, profile)
@@ -122,9 +185,9 @@ class TestBackendAgreement:
         game = EDGE_GAMES[name]
         enc = kernels.encode_game(game)
         assert enc.int64_safe == (name != "object_path")
-        bottlenecks = scan_all(enc, kernels.bottlenecks_range, "numpy")
-        mask = scan_all(enc, kernels.nash_mask_range, "numpy")
-        whole = kernels.scan_range(enc, 0, enc.num_states, "numpy")
+        bottlenecks = scan_all(enc, kernels.bottlenecks_range)
+        mask = scan_all(enc, kernels.nash_mask_range)
+        whole = kernels.scan_range(enc, 0, enc.num_states)
         assert np.array_equal(whole[0], bottlenecks)
         assert np.array_equal(whole[1], mask)
         for idx in range(enc.num_states):
@@ -138,67 +201,14 @@ class TestBackendAgreement:
         + [generators.random_game(np.random.default_rng(seed)) for seed in range(4)],
     )
     def test_loop_kernels_match_scan_range(self, game):
-        # The numba kernels run here as plain Python, so they are checked
-        # even where numba is not installed.
         enc = kernels.encode_game(game)
-        args = (enc.counts, enc.weights, enc.player_ptr, enc.strat_ptr, enc.strat_res)
+        real = enc.table < enc.num_used  # ghost padding sits at the row ends
+        strat_ptr = np.array(list(itertools.accumulate(real.sum(axis=1), initial=0)))
+        args = (enc.counts, enc.weights, enc.player_ptr, strat_ptr, enc.table[real])
         for start in range(0, enc.num_states, 7):
             stop = min(start + 7, enc.num_states)
-            bottlenecks, mask = kernels.scan_range(enc, start, stop, "numpy")
-            loop_b = kernels._bottlenecks_loop(*args, enc.num_used, start, stop)
-            loop_m = kernels._nash_mask_loop(*args, enc.pow_int, enc.num_used, start, stop)
+            bottlenecks, mask = kernels.scan_range(enc, start, stop)
+            loop_b = bottlenecks_loop(*args, enc.num_used, start, stop)
+            loop_m = nash_mask_loop(*args, enc.pow_table, enc.num_used, start, stop)
             assert np.array_equal(loop_b, bottlenecks)
             assert np.array_equal(loop_m, mask)
-
-    @pytest.mark.skipif(not kernels.numba_available(), reason="numba not importable")
-    def test_numba_request_falls_back_when_unsafe(self):
-        game = Game.build(2, 41, [[[0], [1]], [[0], [1]]])
-        enc = kernels.encode_game(game)
-        out = kernels.bottlenecks_range(enc, 0, enc.num_states, "numba")
-        assert out.max() == 2
-
-
-class TestBackendSelection:
-    def _run(self, env_value):
-        code = (
-            "from polybottleneck import kernels; print(kernels.default_backend())"
-        )
-        import os
-
-        env = dict(os.environ)
-        if env_value is None:
-            env.pop("POLYBOTTLENECK_BACKEND", None)
-        else:
-            env["POLYBOTTLENECK_BACKEND"] = env_value
-        return subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env
-        )
-
-    def test_env_flag_forces_numpy(self):
-        proc = self._run("numpy")
-        assert proc.returncode == 0
-        assert proc.stdout.strip() == "numpy"
-
-    def test_default_prefers_numba_when_present(self):
-        proc = self._run(None)
-        assert proc.returncode == 0
-        assert proc.stdout.strip() in ("numba", "numpy")
-
-    def test_invalid_value_rejected(self):
-        proc = self._run("cuda")
-        assert proc.returncode != 0
-        assert "POLYBOTTLENECK_BACKEND" in proc.stderr
-
-    def test_numpy_mode_never_imports_numba(self):
-        code = (
-            "import sys; from polybottleneck import kernels; "
-            "print('numba' in sys.modules)"
-        )
-        import os
-
-        env = dict(os.environ)
-        env["POLYBOTTLENECK_BACKEND"] = "numpy"
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env
-        )
-        assert proc.stdout.strip() == "False"

@@ -1,10 +1,11 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from polybottleneck import lower_bound
-from polybottleneck.errors import StateSpaceTooLargeError
+from polybottleneck.errors import StateSpaceTooLargeError, StructuralError
 from polybottleneck.game_core import congestion_of, player_cost
 
 
@@ -76,6 +77,12 @@ class TestVerify:
         assert report.paths_bottleneck == 1
         assert report.exact_match
         assert report.resource_exponent_value == pytest.approx(float(n))
+
+    def test_tampered_instance_is_rejected(self):
+        inst = lower_bound.generate(3, 1)
+        tampered = dataclasses.replace(inst, state_all_direct=inst.state_all_paths)
+        with pytest.raises(StructuralError, match="construction is broken"):
+            lower_bound.verify(tampered)
 
     def test_path_state_has_unit_congestion(self):
         inst = lower_bound.generate(5, 1)

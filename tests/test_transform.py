@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from polybottleneck import equilibria, generators, lower_bound
-from polybottleneck.errors import DominationError, PreconditionError
+from polybottleneck.errors import DominationError, PreconditionError, StructuralError
 from polybottleneck.game_core import Game, bottleneck, congestion_of
 from polybottleneck.transform import (
     PhaseState,
@@ -234,6 +234,15 @@ class TestRunPhase:
             if not p.is_singleton:
                 assert tsg.cost(pid) <= level**tsg.degree
 
+    def test_multi_player_above_the_band_is_rejected(self):
+        # one player alone on six resources costs 6, above the band (4, 5] of level 4
+        tsg = TwoStrategyGame(
+            num_resources=8, degree=1, threshold=3, eq_bottleneck=4, opt_bottleneck=1
+        )
+        tsg.add_player(range(6), [7])
+        with pytest.raises(StructuralError, match="above the band at level 4"):
+            run_phase(tsg, 4)
+
 
 class TestFullTransform:
     def test_all_singleton_game_only_cleans(self):
@@ -256,7 +265,7 @@ class TestFullTransform:
         for seed in range(12):
             rng = np.random.default_rng(seed)
             game, s_eq, s_opt = generators.forced_congestion_game(rng, degree=degree)
-            tsg = transform_to_singletons(game, s_eq, s_opt, validate=True)
+            tsg = transform_to_singletons(game, s_eq, s_opt)
             # equilibrium congestion preserved exactly
             assert np.array_equal(
                 tsg.eq_congestion(), congestion_of(game, s_eq)
