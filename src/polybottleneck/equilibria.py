@@ -8,11 +8,10 @@ configurable state-count cap.
 
 from __future__ import annotations
 
-import itertools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterator, Sequence
+from typing import Any, Sequence
 
 from . import kernels
 from .errors import NonConvergenceError, StateSpaceTooLargeError, StructuralError, UsageError
@@ -22,6 +21,7 @@ from .game_core import (
     bottleneck,
     congestion_of,
     delay,
+    switch_cost,
     validate_profile,
 )
 
@@ -78,33 +78,30 @@ def deviation_cost(
     strategy_index: int,
     counts=None,
 ) -> int:
-    """Cost the player would pay after unilaterally switching strategy.
-
-    Evaluated with the player removed and re-added: a resource it keeps
-    contributes its current delay, a newly adopted one contributes the delay
-    at congestion + 1.
-    """
+    """Cost the player would pay after unilaterally switching strategy."""
     if counts is None:
         counts = congestion_of(game, profile)
-    chosen = set(game.chosen(tuple(profile), player))
-    total = 0
-    for r in game.strategies[player][strategy_index]:
-        c = int(counts[r]) if r in chosen else int(counts[r]) + 1
-        total += delay(c, game.degree)
-    return total
+    return switch_cost(
+        counts,
+        game.chosen(tuple(profile), player),
+        game.strategies[player][strategy_index],
+        game.degree,
+    )
+
+
+def _costs(game: Game, profile: Sequence[int], player: int, counts) -> list[int]:
+    """Cost of each of the player's strategies, the others fixed: entry s is
+    what the player pays after switching to s (its current cost at s == the
+    current choice)."""
+    current = game.strategies[player][profile[player]]
+    return [switch_cost(counts, current, s, game.degree) for s in game.strategies[player]]
 
 
 def best_response(game: Game, profile: Sequence[int], player: int) -> int:
     """Index of a cost-minimizing strategy, others fixed; ties -> lowest index."""
     profile = validate_profile(game, profile)
-    counts = congestion_of(game, profile)
-    best_idx = 0
-    best_cost = deviation_cost(game, profile, player, 0, counts)
-    for s in range(1, len(game.strategies[player])):
-        cost = deviation_cost(game, profile, player, s, counts)
-        if cost < best_cost:
-            best_idx, best_cost = s, cost
-    return best_idx
+    costs = _costs(game, profile, player, congestion_of(game, profile))
+    return costs.index(min(costs))
 
 
 def is_nash(game: Game, profile: Sequence[int]) -> bool:
@@ -112,10 +109,9 @@ def is_nash(game: Game, profile: Sequence[int]) -> bool:
     profile = validate_profile(game, profile)
     counts = congestion_of(game, profile)
     for i in range(game.num_players):
-        cur = deviation_cost(game, profile, i, profile[i], counts)
-        for s in range(len(game.strategies[i])):
-            if s != profile[i] and deviation_cost(game, profile, i, s, counts) < cur:
-                return False
+        costs = _costs(game, profile, i, counts)
+        if min(costs) < costs[profile[i]]:
+            return False
     return True
 
 
@@ -145,6 +141,7 @@ def best_response_dynamics(
     ``rosenthal_potential(game, start)`` moves.
     """
     profile = list(validate_profile(game, start))
+    counts = congestion_of(game, profile)  # kept in step with every move
     start_potential = rosenthal_potential(game, profile)
     budget = max_steps if max_steps is not None else start_potential + 1
     moves = 0
@@ -153,18 +150,20 @@ def best_response_dynamics(
     player = 0
     n = game.num_players
     while stable_streak < n:
-        counts = congestion_of(game, profile)
-        cur = deviation_cost(game, profile, player, profile[player], counts)
-        best_idx = best_response(game, profile, player)
-        best_cost = deviation_cost(game, profile, player, best_idx, counts)
+        costs = _costs(game, profile, player, counts)
+        cur = costs[profile[player]]
+        best_cost = min(costs)
         if best_cost < cur:
             if moves >= budget:
                 raise NonConvergenceError(
                     f"no equilibrium after {budget} moves (potential at start "
                     f"was {start_potential})"
                 )
-            profile[player] = best_idx
+            counts[list(game.chosen(profile, player))] -= 1
+            profile[player] = costs.index(best_cost)
+            counts[list(game.chosen(profile, player))] += 1
             moves += 1
+            # Recomputed from scratch, so drift in ``counts`` shows up here too.
             new_potential = rosenthal_potential(game, profile)
             if potential - new_potential != cur - best_cost:
                 raise StructuralError(
@@ -176,10 +175,9 @@ def best_response_dynamics(
         else:
             stable_streak += 1
         player = (player + 1) % n
-    final = tuple(profile)
     return EquilibriumReport(
-        profile=final,
-        bottleneck=bottleneck(congestion_of(game, final)),
+        profile=tuple(profile),
+        bottleneck=bottleneck(counts),
         is_nash=True,
         potential=potential,
         moves=moves,
@@ -194,13 +192,6 @@ def _check_cap(game: Game, cap: int | None) -> int:
             f"{total} states exceed the cap of {limit}; raise the cap to proceed"
         )
     return total
-
-
-def enumerate_states(game: Game, cap: int | None = None) -> Iterator[Profile]:
-    """All profiles in lexicographic order (player 0 varies slowest)."""
-    _check_cap(game, cap)
-    ranges = [range(len(s)) for s in game.strategies]
-    return itertools.product(*ranges)
 
 
 def _scan(game: Game, cap: int | None, nash: list[Profile] | None = None) -> PoaReport:

@@ -81,9 +81,6 @@ class Game:
     def num_players(self) -> int:
         return len(self.strategies)
 
-    def strategy_counts(self) -> tuple[int, ...]:
-        return tuple(len(s) for s in self.strategies)
-
     def num_states(self) -> int:
         n = 1
         for s in self.strategies:
@@ -139,13 +136,30 @@ def delay(congestion: int, degree: int) -> int:
     return int(congestion) ** int(degree)
 
 
+def switch_cost(
+    counts: Sequence[int], current: Sequence[int], target: Iterable[int], degree: int
+) -> int:
+    """Cost of playing ``target`` after a unilateral switch from ``current``.
+
+    This is the game's one cost rule.  A resource in both strategies keeps its
+    congestion; a newly adopted one carries one more user.  So
+    ``target == current`` gives the cost paid now, and ``current == ()`` the
+    cost of joining on top of the given congestion.  ``current`` is only
+    searched with ``in``: strategies are short, so a tuple is fastest.
+    """
+    total = 0
+    for r in target:
+        total += delay(counts[r] + (r not in current), degree)
+    return total
+
+
 def player_cost(game: Game, profile: Sequence[int], player: int) -> int:
     """Sum of delays over the player's chosen resources."""
     profile = validate_profile(game, profile)
     if not 0 <= player < game.num_players:
         raise InvalidProfileError(f"no player {player} in a {game.num_players}-player game")
-    counts = congestion_of(game, profile)
-    return sum(delay(int(counts[r]), game.degree) for r in game.chosen(profile, player))
+    chosen = game.chosen(profile, player)
+    return switch_cost(congestion_of(game, profile), chosen, chosen, game.degree)
 
 
 def profile_length(game: Game, profile: Sequence[int]) -> int:

@@ -122,10 +122,6 @@ def profile_from_index(enc: GameArrays, idx: int) -> Profile:
     return tuple(int((idx // int(w)) % int(c)) for w, c in zip(enc.weights, enc.counts))
 
 
-def index_of_profile(enc: GameArrays, profile: Profile) -> int:
-    return int(sum(int(w) * c for w, c in zip(enc.weights, profile)))
-
-
 def scan_range(enc: GameArrays, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
     """Bottleneck congestion and weak-Nash flag per profile index in
     [start, stop).  A profile is flagged when no player has a strictly

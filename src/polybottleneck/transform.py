@@ -28,7 +28,9 @@ import numpy as np
 
 from . import equilibria
 from .errors import DominationError, PreconditionError, StructuralError
-from .game_core import Game, Profile, bottleneck, congestion_of, delay, validate_profile
+from .game_core import (
+    Game, Profile, bottleneck, congestion_of, delay, switch_cost, validate_profile,
+)
 
 
 @dataclass
@@ -143,8 +145,8 @@ class TwoStrategyGame:
         return bottleneck(self.opt_congestion())
 
     def cost(self, pid: int) -> int:
-        player = self.players[pid]
-        return sum(delay(int(self._eq_cong[r]), self.degree) for r in player.eq_strategy)
+        eq = self.players[pid].eq_strategy
+        return switch_cost(self._eq_cong, eq, eq, self.degree)
 
     def deviation(self, pid: int, opt: Sequence[int] | None = None) -> int | None:
         """Cost of switching to the tracked strategy; None when there is none."""
@@ -152,12 +154,7 @@ class TwoStrategyGame:
         target = player.opt_strategy if opt is None else tuple(opt)
         if not target:
             return None
-        eq_set = set(player.eq_strategy)
-        total = 0
-        for r in target:
-            c = int(self._eq_cong[r]) + (0 if r in eq_set else 1)
-            total += delay(c, self.degree)
-        return total
+        return switch_cost(self._eq_cong, player.eq_strategy, target, self.degree)
 
     def in_equilibrium(self, pid: int) -> bool:
         dev = self.deviation(pid)
@@ -271,25 +268,25 @@ def clean_game(tsg: TwoStrategyGame) -> TwoStrategyGame:
 
     # Redundancy pruning, low congestion first, for singleton players on
     # resources above the threshold (their tracked sets feed the resource
-    # graph analysis).
+    # graph analysis).  A tracked resource goes while the rest still cover
+    # the player's cost.  Each removal only lowers the running deviation
+    # total, so a resource refused once stays refused: one pass suffices.
     for pid in tsg.player_ids():
         player = tsg.players[pid]
-        if not player.is_singleton:
+        if not player.is_singleton or len(player.opt_strategy) < 2:
             continue
         if int(tsg._eq_cong[player.eq_strategy[0]]) <= tsg.threshold:
             continue
-        changed = True
-        while changed and len(player.opt_strategy) > 1:
-            changed = False
-            order = sorted(player.opt_strategy, key=lambda r: (int(tsg._eq_cong[r]), r))
-            for r in order:
-                pruned = tuple(x for x in player.opt_strategy if x != r)
-                dev = tsg.deviation(pid, pruned)
-                if dev is not None and tsg.cost(pid) <= dev:
-                    player.opt_strategy = pruned
-                    changed = True
-                    tsg.record("prune", player=pid, removed=r)
-                    break
+        cost = tsg.cost(pid)
+        total = tsg.deviation(pid)
+        for r in sorted(player.opt_strategy, key=lambda r: (int(tsg._eq_cong[r]), r)):
+            if len(player.opt_strategy) < 2:
+                break
+            term = switch_cost(tsg._eq_cong, player.eq_strategy, (r,), tsg.degree)
+            if cost <= total - term:
+                total -= term
+                player.opt_strategy = tuple(x for x in player.opt_strategy if x != r)
+                tsg.record("prune", player=pid, removed=r)
 
     if not np.array_equal(tsg.eq_congestion(), before_eq):
         raise StructuralError("cleaning changed the equilibrium congestion", state=tsg.to_dict())
@@ -330,8 +327,9 @@ def greedy_cover_pairs(
     eq = sorted(eq_items, key=lambda rc: (-rc[1], rc[0]))
     opt = sorted(opt_items, key=lambda rc: (rc[1], rc[0]))
     m = len(opt)
-    needs = [c**degree for _, c in eq]
-    values = [(c + 1) ** degree for _, c in opt]
+    congestion = dict(eq_items) | dict(opt_items)
+    needs = [switch_cost(congestion, (r,), (r,), degree) for r, _ in eq]
+    values = [switch_cost(congestion, (), (r,), degree) for r, _ in opt]
     if sum(values) < sum(needs):
         raise PreconditionError(
             "player is not in equilibrium: tracked resources cannot cover its cost"
@@ -411,8 +409,9 @@ def split_player(tsg: TwoStrategyGame, pid: int) -> list[int]:
     """
     pairs = partition_pairs(tsg, pid)
     old_cost = tsg.cost(pid)
-    old_opt = tsg.players[pid].opt_strategy
-    max_opt_c = max(int(tsg._eq_cong[r]) for r in old_opt) if old_opt else 0
+    # A multi sub-player may cost at most joining its most congested tracked resource.
+    dearest = max(tsg.players[pid].opt_strategy, key=lambda r: tsg._eq_cong[r])
+    cap = switch_cost(tsg._eq_cong, (), (dearest,), tsg.degree)
     before_eq = tsg.eq_congestion()
     tsg.remove_player(pid)
     new_ids = [tsg.add_player(p.eq_part, p.opt_part) for p in pairs]
@@ -422,7 +421,6 @@ def split_player(tsg: TwoStrategyGame, pid: int) -> list[int]:
         raise StructuralError(
             f"splitting player {pid} changed the equilibrium congestion", state=tsg.to_dict()
         )
-    cap = delay(max_opt_c + 1, tsg.degree)
     for nid in new_ids:
         c = tsg.cost(nid)
         if c > old_cost:
@@ -573,7 +571,7 @@ def run_phase(tsg: TwoStrategyGame, level: int) -> PhaseState:
                 return "locked"
             return "other"
         max_c = max(int(tsg._eq_cong[r]) for r in p.opt_strategy)
-        mass = sum(delay(int(tsg._eq_cong[r]) + 1, tsg.degree) for r in p.opt_strategy)
+        mass = switch_cost(tsg._eq_cong, (), p.opt_strategy, tsg.degree)
         if max_c <= level - 1 and mass >= upper_cost:
             return "spread"
         return "other"

@@ -21,6 +21,16 @@ def family_file(tmp_path):
     return path
 
 
+def run_cli(argv):
+    """Run the CLI in a fresh process that imports the same package as this one."""
+    src = str(Path(polybottleneck.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-m", "polybottleneck.cli", *argv], capture_output=True, env=env
+    )
+
+
 def assert_usage_error(rc, err):
     """Exit 2 with one ``error:`` line and no traceback."""
     assert rc == 2
@@ -73,6 +83,22 @@ class TestAnalyze:
         rc = main(["analyze", str(tmp_path / "nonexistent.json")])
         assert_usage_error(rc, capsys.readouterr().err)
 
+    def test_calls_in_one_process_match_fresh_processes(self, family_file, capsys):
+        # One parser serves every call in a process; no call may leak into the next.
+        calls = [["analyze"], ["analyze", family_file], ["analyze"]]
+        seen = []
+        for argv in calls:
+            rc = main(argv)
+            out, err = capsys.readouterr()
+            seen.append((rc, out, err))
+        alone = {}
+        for argv in calls:
+            if tuple(argv) not in alone:
+                proc = run_cli(argv)
+                alone[tuple(argv)] = (proc.returncode, proc.stdout.decode(), proc.stderr.decode())
+        assert [rc for rc, _, _ in seen] == [2, 0, 2]
+        assert seen == [alone[tuple(argv)] for argv in calls]
+
     def test_bad_state_cap_env_is_usage_error(self, family_file, capsys, monkeypatch):
         monkeypatch.setenv("POLYBOTTLENECK_STATE_CAP", "abc")
         rc = main(["analyze", family_file])
@@ -90,18 +116,8 @@ class TestSuite:
         assert all(r["pass"] for r in payload["records"])
 
     def test_identical_seed_identical_bytes(self):
-        # the child imports the same package as this process, installed or not
-        src = str(Path(polybottleneck.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
-
-        def run():
-            return subprocess.run(
-                [sys.executable, "-m", "polybottleneck.cli",
-                 "suite", "--count", "4", "--seed", "9"],
-                capture_output=True, env=env,
-            )
-        first, second = run(), run()
+        argv = ["suite", "--count", "4", "--seed", "9"]
+        first, second = run_cli(argv), run_cli(argv)
         assert first.returncode == 0
         assert first.stdout == second.stdout
 

@@ -10,7 +10,6 @@ from polybottleneck.equilibria import (
     best_response,
     best_response_dynamics,
     enumerate_nash,
-    enumerate_states,
     is_nash,
     optimal_profile,
     price_of_anarchy,
@@ -26,6 +25,23 @@ from conftest import (
     oracle_optimal,
     oracle_player_cost,
 )
+
+
+def reference_dynamics(game, start):
+    """Round-robin strict best-response walk built on the brute-force oracle."""
+    profile = list(start)
+    moves = stable = player = 0
+    while stable < game.num_players:
+        best = oracle_best_response(game, profile, player)
+        trial = profile[:player] + [best] + profile[player + 1:]
+        if oracle_player_cost(game, trial, player) < oracle_player_cost(game, profile, player):
+            profile = trial
+            moves += 1
+            stable = 0
+        else:
+            stable += 1
+        player = (player + 1) % game.num_players
+    return tuple(profile), moves
 
 
 class TestBestResponse:
@@ -119,6 +135,15 @@ class TestDynamics:
             assert report.moves <= budget
             assert oracle_is_nash(game, report.profile)
 
+    def test_matches_oracle_round_robin(self, rng):
+        for _ in range(60):
+            game = generators.random_game(rng, max_players=6)
+            start = tuple(int(rng.integers(0, len(s))) for s in game.strategies)
+            report = best_response_dynamics(game, start)
+            assert (report.profile, report.moves) == reference_dynamics(game, start)
+            assert report.bottleneck == max(congestion_of(game, report.profile))
+            assert report.potential == rosenthal_potential(game, report.profile)
+
     def test_budget_exhaustion_raises(self):
         game = Game.build(2, 1, [[[0], [1]], [[0], [1]]])
         # (0, 0) is unstable; zero budget cannot reach equilibrium
@@ -127,26 +152,10 @@ class TestDynamics:
 
 
 class TestEnumeration:
-    def test_two_by_two_order(self):
-        game = Game.build(2, 1, [[[0], [1]], [[0], [1]]])
-        assert list(enumerate_states(game)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
-
-    def test_family_has_sixteen_states(self):
-        inst = lower_bound.generate(4, 1)
-        assert len(list(enumerate_states(inst.game))) == 16
-
-    def test_count_is_product_of_sizes(self, rng):
-        for _ in range(10):
-            game = generators.random_game(rng)
-            expected = 1
-            for s in game.strategies:
-                expected *= len(s)
-            assert len(list(enumerate_states(game))) == expected
-
     def test_cap_is_enforced(self):
         game = Game.build(2, 1, [[[0], [1]]] * 10)
         with pytest.raises(StateSpaceTooLargeError):
-            list(enumerate_states(game, cap=100))
+            enumerate_nash(game, cap=100)
         with pytest.raises(StateSpaceTooLargeError):
             optimal_profile(game, cap=100)
         with pytest.raises(StateSpaceTooLargeError):
@@ -156,9 +165,12 @@ class TestEnumeration:
         game = Game.build(2, 1, [[[0], [1]]] * 10)
         monkeypatch.setenv("POLYBOTTLENECK_STATE_CAP", "100")
         with pytest.raises(StateSpaceTooLargeError):
-            list(enumerate_states(game))
+            optimal_profile(game)
+        with pytest.raises(StateSpaceTooLargeError):
+            price_of_anarchy(game)
         monkeypatch.setenv("POLYBOTTLENECK_STATE_CAP", "2000")
-        assert len(list(enumerate_states(game))) == 1024
+        # 2**10 = 1024 states fit: ten players split five and five at best
+        assert optimal_profile(game)[1] == 5
 
 
 class TestOptimal:

@@ -18,6 +18,7 @@ from polybottleneck.game_core import (
     player_cost,
     profile_length,
     save_game,
+    switch_cost,
 )
 
 from conftest import (
@@ -187,6 +188,24 @@ class TestProperties:
         )
         for i in range(game.num_players):
             assert player_cost(game, profile, i) == oracle_player_cost(game, profile, i)
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_games(), st.data())
+    def test_switch_cost_is_cost_after_the_move(self, game, data):
+        profile = tuple(
+            data.draw(st.integers(0, len(s) - 1)) for s in game.strategies
+        )
+        counts = congestion_of(game, profile)
+        for i in range(game.num_players):
+            current = game.chosen(profile, i)
+            for s, target in enumerate(game.strategies[i]):
+                moved = profile[:i] + (s,) + profile[i + 1:]
+                expected = oracle_player_cost(game, moved, i)
+                assert switch_cost(counts, current, target, game.degree) == expected
+            # joining on top of everyone else: every resource gets one more user
+            others = oracle_congestion(game, profile)
+            joined = sum(oracle_power(others[r] + 1, game.degree) for r in current)
+            assert switch_cost(counts, (), current, game.degree) == joined
 
     def test_adding_a_player_never_lowers_costs(self, rng):
         base = Game.build(3, 2, [[[0, 1], [2]], [[1], [0, 2]]])

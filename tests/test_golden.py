@@ -1,0 +1,78 @@
+"""Golden-output test: fixed CLI runs must reproduce committed bytes.
+
+Each case runs ``cli.main`` in-process and compares its exit code, stdout and
+stderr (the ``--trace`` JSON lines) byte for byte with the files under
+``tests/golden/``.  A change that alters any of them on purpose regenerates
+the files with ``python tests/test_golden.py`` and says so in its notes.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# name -> argv; "@file" is a game file under tests/golden/.
+CASES = {
+    "suite_count10_seed7": ["suite", "--count", "10", "--seed", "7"],
+    "suite_object_path": ["suite", "--count", "5", "--seed", "3", "--degrees", "30", "41"],
+    "sweep_degree1": ["sweep", "--degree", "1", "--n-range", "2..10"],
+    "lower_bound_n9_degree2": ["lower-bound", "--n", "9", "--degree", "2"],
+    "transform_tight6": ["transform", "@tight6.json", "--trace"],
+    "transform_forced_d1": ["transform", "@forced_d1.json", "--trace"],
+    "transform_forced_d2": ["transform", "@forced_d2.json", "--trace"],
+    "expansion_tight6": ["expansion", "@tight6.json"],
+    "expansion_tight6_first": ["expansion", "@tight6.json", "--transform-first"],
+    "expansion_forced_d1": ["expansion", "@forced_d1.json"],
+    "expansion_forced_d1_first": ["expansion", "@forced_d1.json", "--transform-first"],
+}
+
+
+def run_case(argv: list[str]) -> tuple[int, bytes, bytes]:
+    from polybottleneck.cli import main
+
+    argv = [str(GOLDEN / a[1:]) if a.startswith("@") else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, out.getvalue().encode(), err.getvalue().encode()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_is_byte_identical(name):
+    expected_rc = json.loads((GOLDEN / "exit_codes.json").read_text())[name]
+    rc, out, err = run_case(CASES[name])
+    assert rc == expected_rc
+    assert out == (GOLDEN / f"{name}.stdout").read_bytes()
+    assert err == (GOLDEN / f"{name}.stderr").read_bytes()
+
+
+def regenerate() -> None:
+    """Write the input games and every case's expected output."""
+    import numpy as np
+
+    from polybottleneck import generators, lower_bound
+    from polybottleneck.game_core import save_game
+
+    GOLDEN.mkdir(exist_ok=True)
+    save_game(lower_bound.generate(6, 1).game, str(GOLDEN / "tight6.json"))
+    for degree, seed in ((1, 2), (2, 20)):
+        game, _, _ = generators.forced_congestion_game(np.random.default_rng(seed), degree)
+        save_game(game, str(GOLDEN / f"forced_d{degree}.json"))
+    codes = {}
+    for name, argv in sorted(CASES.items()):
+        codes[name], out, err = run_case(argv)
+        (GOLDEN / f"{name}.stdout").write_bytes(out)
+        (GOLDEN / f"{name}.stderr").write_bytes(err)
+    (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=2, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(Path(__file__).parents[1] / "src"))
+    regenerate()

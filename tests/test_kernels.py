@@ -123,9 +123,8 @@ class TestEncoding:
         game = Game.build(3, 1, [[[0], [1]], [[2], [0], [1]], [[0, 1]]])
         enc = kernels.encode_game(game)
         assert enc.num_states == 6
-        for idx in range(6):
-            profile = kernels.profile_from_index(enc, idx)
-            assert kernels.index_of_profile(enc, profile) == idx
+        expected = list(itertools.product(range(2), range(3), range(1)))
+        assert [kernels.profile_from_index(enc, idx) for idx in range(6)] == expected
 
     def test_lexicographic_order(self):
         game = Game.build(2, 1, [[[0], [1]], [[0], [1]]])

@@ -1,5 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polybottleneck import equilibria, generators, lower_bound
 from polybottleneck.errors import DominationError, PreconditionError, StructuralError
@@ -107,6 +111,112 @@ class TestClean:
         opt_before = tsg.opt_congestion()
         clean_game(tsg)
         assert np.array_equal(tsg.opt_congestion(), opt_before)
+
+
+def reference_prune(tsg):
+    """The restart-from-scratch pruning loop that ``clean_game`` replaced:
+    after every removal it scans the sorted tracked strategy again."""
+    for pid in tsg.player_ids():
+        player = tsg.players[pid]
+        if not player.is_singleton:
+            continue
+        if int(tsg._eq_cong[player.eq_strategy[0]]) <= tsg.threshold:
+            continue
+        changed = True
+        while changed and len(player.opt_strategy) > 1:
+            changed = False
+            order = sorted(player.opt_strategy, key=lambda r: (int(tsg._eq_cong[r]), r))
+            for r in order:
+                pruned = tuple(x for x in player.opt_strategy if x != r)
+                dev = tsg.deviation(pid, pruned)
+                if dev is not None and tsg.cost(pid) <= dev:
+                    player.opt_strategy = pruned
+                    changed = True
+                    tsg.record("prune", player=pid, removed=r)
+                    break
+
+
+def slack_hub_game(rng, degree):
+    """Hub players above the threshold whose detours cover their cost with
+    room to spare, so pruning removes several resources from one detour.
+    Detour resources sit at congestion 0 or 1 (a fixed filler player)."""
+    hub_users = int(rng.integers(7, 10))  # tracked bottleneck <= 2: threshold <= 6
+    players, detours = [], []
+    next_id = 1
+    for _ in range(hub_users):
+        need = hub_users**degree + int(rng.integers(0, 3 * 2**degree))
+        detour, total = [], 0
+        while total < need:
+            if rng.random() < 0.5:
+                players.append([[next_id]])
+                total += 2**degree
+            else:
+                total += 1
+            detour.append(next_id)
+            next_id += 1
+        detours.append(detour)
+    fillers = len(players)
+    players += [[[0], detour] for detour in detours]
+    game = Game.build(next_id, degree, players)
+    return game, (0,) * (fillers + hub_users), (0,) * fillers + (1,) * hub_users
+
+
+def pruning_cases():
+    for degree in (1, 2):
+        for seed in range(10):
+            yield slack_hub_game(np.random.default_rng(seed), degree)
+    for degree in (1, 2):
+        for seed in range(12):
+            game, s_eq, s_opt = generators.forced_congestion_game(
+                np.random.default_rng(seed), degree=degree
+            )
+            yield game, s_eq, s_opt
+    for degree, sizes in ((1, range(4, 21)), (2, range(3, 9))):
+        for n in sizes:
+            inst = lower_bound.generate(n, degree)
+            yield inst.game, inst.state_all_direct, inst.state_all_paths
+    rng = np.random.default_rng(77)
+    for _ in range(40):
+        game = generators.random_game(rng, max_players=6, max_resources=5)
+        nash = equilibria.enumerate_nash(game)
+        yield game, nash[int(rng.integers(len(nash)))], equilibria.optimal_profile(game)[0]
+
+
+class TestPruneReference:
+    def test_one_pass_matches_restart_loop(self):
+        prunes = 0
+        for game, s_eq, s_opt in pruning_cases():
+            fast = init_two_strategy(game, s_eq, s_opt, trace=[])
+            clean_game(fast)
+            # The reference runs clean_game with pruning switched off (no
+            # congestion exceeds the threshold), then the old loop.
+            ref = init_two_strategy(game, s_eq, s_opt, trace=[])
+            threshold, ref.threshold = ref.threshold, sys.maxsize
+            clean_game(ref)
+            ref.threshold = threshold
+            reference_prune(ref)
+            assert fast.to_dict() == ref.to_dict()
+            assert fast.trace == ref.trace
+            prunes += sum(line["op"] == "prune" for line in fast.trace)
+        assert prunes > 1000  # the cases really exercise pruning
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.data())
+def test_transform_from_random_nash_state(seed, data):
+    rng = np.random.default_rng(seed)
+    game = generators.random_game(rng, max_players=5, max_resources=5)
+    nash = equilibria.enumerate_nash(game)
+    s_eq = nash[data.draw(st.integers(0, len(nash) - 1))]
+    s_opt, _ = equilibria.optimal_profile(game)
+    tsg = transform_to_singletons(game, s_eq, s_opt)
+    assert np.array_equal(tsg.eq_congestion(), congestion_of(game, s_eq))
+    for p in tsg.players.values():
+        if not p.is_singleton:
+            assert all(tsg._eq_cong[r] <= tsg.threshold for r in p.eq_strategy)
+    induced, eq_profile = tsg.induced_game()
+    assert oracle_is_nash(induced, eq_profile)
+    assert verify_domination(game, s_eq, tsg, strict=False).all_ok
 
 
 class TestGreedyCoverPairs:
