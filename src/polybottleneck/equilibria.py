@@ -3,12 +3,11 @@
 Single-profile checks (best response, weak Nash, Rosenthal potential) run in
 exact Python integer arithmetic.  Whole-space searches (optimal state, Nash
 enumeration, price of anarchy) run through the scan kernel and honour a
-configurable state-count cap.
+state-count cap (``cap=``, default ``DEFAULT_STATE_CAP``).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Sequence
@@ -26,26 +25,12 @@ from .game_core import (
 )
 
 DEFAULT_STATE_CAP = 10_000_000
-_CAP_ENV = "POLYBOTTLENECK_STATE_CAP"
-
-
-def state_cap(cap: int | None = None) -> int:
-    if cap is not None:
-        return cap
-    env = os.environ.get(_CAP_ENV)
-    if not env:
-        return DEFAULT_STATE_CAP
-    try:
-        return int(env)
-    except ValueError:
-        raise UsageError(f"{_CAP_ENV} must be an integer, got {env!r}") from None
 
 
 @dataclass(frozen=True)
 class EquilibriumReport:
     profile: Profile
     bottleneck: int
-    is_nash: bool
     potential: int
     moves: int
 
@@ -69,24 +54,6 @@ class PoaReport:
             "worst_nash_choice": list(self.worst_nash),
             "optimal_choice": list(self.optimal),
         }
-
-
-def deviation_cost(
-    game: Game,
-    profile: Sequence[int],
-    player: int,
-    strategy_index: int,
-    counts=None,
-) -> int:
-    """Cost the player would pay after unilaterally switching strategy."""
-    if counts is None:
-        counts = congestion_of(game, profile)
-    return switch_cost(
-        counts,
-        game.chosen(tuple(profile), player),
-        game.strategies[player][strategy_index],
-        game.degree,
-    )
 
 
 def _costs(game: Game, profile: Sequence[int], player: int, counts) -> list[int]:
@@ -119,14 +86,14 @@ def rosenthal_potential(game: Game, profile: Sequence[int]) -> int:
     """Exact potential: sum over resources of 1**M + 2**M + ... + C_r**M.
 
     Any unilateral strategy change moves the potential by exactly the mover's
-    cost change, so strict greedy moves strictly decrease it.
+    cost change, so strict greedy moves strictly decrease it.  Congestion is
+    recounted from the profile; ``prefix[c]`` holds 1**M + ... + c**M.
     """
     counts = congestion_of(game, profile)
-    m = game.degree
-    total = 0
-    for c in counts:
-        total += sum(delay(j, m) for j in range(1, int(c) + 1))
-    return total
+    prefix = [0]
+    for c in range(1, bottleneck(counts) + 1):
+        prefix.append(prefix[-1] + delay(c, game.degree))
+    return sum(prefix[c] for c in counts.tolist())
 
 
 def best_response_dynamics(
@@ -178,14 +145,15 @@ def best_response_dynamics(
     return EquilibriumReport(
         profile=tuple(profile),
         bottleneck=bottleneck(counts),
-        is_nash=True,
         potential=potential,
         moves=moves,
     )
 
 
 def _check_cap(game: Game, cap: int | None) -> int:
-    limit = state_cap(cap)
+    limit = DEFAULT_STATE_CAP if cap is None else cap
+    if limit < 1:
+        raise UsageError(f"the state cap must be at least 1, got {limit}")
     total = game.num_states()
     if total > limit:
         raise StateSpaceTooLargeError(

@@ -10,7 +10,7 @@ class GameFormatError(PolyBottleneckError):
 
 
 class UsageError(PolyBottleneckError, ValueError):
-    """A parameter, command-line option or environment setting is invalid."""
+    """A parameter or command-line option is invalid."""
 
 
 class InvalidProfileError(PolyBottleneckError):

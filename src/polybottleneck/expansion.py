@@ -12,12 +12,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
 from .errors import PreconditionError
-from .game_core import Game, bottleneck, congestion_of, delay
+from .game_core import delay
 from .transform import TwoStrategyGame
 
 
@@ -43,84 +43,37 @@ class ResourceGraph:
     def num_resources(self) -> int:
         return len(self.congestion)
 
-    def in_v1(self, r: int) -> bool:
-        return r in self.v1
 
+def build_resource_graph(tsg: TwoStrategyGame) -> ResourceGraph:
+    """Resource graph of a two-strategy game in its equilibrium state.
 
-def _build(
-    entries: list[tuple[tuple[int, ...], tuple[int, ...]]],
-    congestion: np.ndarray,
-    degree: int,
-    threshold: int,
-    opt_cap: int,
-) -> ResourceGraph:
-    v1 = frozenset(int(r) for r in np.nonzero(congestion > threshold)[0])
-    for eq, _ in entries:
-        if len(eq) > 1:
-            for r in eq:
+    Nodes above the game's own threshold are exactly the ones guaranteed to
+    host only singleton players, and the multiplicity cap is the tracked
+    optimal bottleneck (no resource sits in more tracked strategies than
+    that).
+    """
+    congestion = tsg.eq_congestion()
+    v1 = frozenset(int(r) for r in np.nonzero(congestion > tsg.threshold)[0])
+    children: dict[int, list[int]] = {x: [] for x in sorted(v1)}
+    for _, p in sorted(tsg.players.items()):
+        if len(p.eq_strategy) > 1:
+            for r in p.eq_strategy:
                 if r in v1:
                     raise PreconditionError(
                         f"resource {r} is above the threshold but hosts a "
                         f"multi-resource player; transform the game first"
                     )
-    children: dict[int, list[int]] = {x: [] for x in sorted(v1)}
-    for eq, opt in entries:
-        if len(eq) != 1:
-            continue
-        x = eq[0]
-        if x not in v1:
-            continue
-        for y in opt:
-            if y != x:
-                children[x].append(int(y))
+        elif p.eq_strategy[0] in v1:
+            x = p.eq_strategy[0]
+            children[x].extend(int(y) for y in p.opt_strategy if y != x)
     return ResourceGraph(
-        congestion=congestion.copy(),
-        degree=degree,
-        threshold=threshold,
-        opt_cap=opt_cap,
+        congestion=congestion,
+        degree=tsg.degree,
+        threshold=tsg.threshold,
+        opt_cap=max(1, tsg.tracked_opt_bottleneck()),
         children={x: tuple(sorted(ys)) for x, ys in children.items()},
         v1=v1,
     )
-
-
-def build_resource_graph(
-    tsg: TwoStrategyGame,
-    threshold: int | None = None,
-    opt_cap: int | None = None,
-) -> ResourceGraph:
-    """Resource graph of a two-strategy game in its equilibrium state.
-
-    Defaults follow the transformation pipeline: nodes above the game's own
-    threshold are exactly the ones guaranteed to host only singleton players,
-    and the multiplicity cap is the tracked optimal bottleneck (no resource
-    sits in more tracked strategies than that).
-    """
-    cap = opt_cap if opt_cap is not None else max(1, tsg.tracked_opt_bottleneck())
-    thr = threshold if threshold is not None else tsg.threshold
-    entries = [
-        (p.eq_strategy, p.opt_strategy) for _, p in sorted(tsg.players.items())
-    ]
-    return _build(entries, tsg.eq_congestion(), tsg.degree, thr, cap)
-
-
-def build_resource_graph_from_game(
-    game: Game,
-    nash_profile: Sequence[int],
-    optimal_profile: Sequence[int],
-    threshold: int | None = None,
-    opt_cap: int | None = None,
-) -> ResourceGraph:
-    """Resource graph for a game given its equilibrium and optimal profiles."""
-    congestion = congestion_of(game, nash_profile)
-    cap = opt_cap if opt_cap is not None else max(
-        1, bottleneck(congestion_of(game, optimal_profile))
-    )
-    thr = threshold if threshold is not None else max(2 * game.degree, 3 * cap)
-    entries = [
-        (game.chosen(tuple(nash_profile), i), game.chosen(tuple(optimal_profile), i))
-        for i in range(game.num_players)
-    ]
-    return _build(entries, congestion, game.degree, thr, cap)
 
 
 def check_expansion(rg: ResourceGraph, x: int) -> tuple[int, Fraction, bool]:
@@ -132,12 +85,12 @@ def check_expansion(rg: ResourceGraph, x: int) -> tuple[int, Fraction, bool]:
     (C_x - cap) / (2 cap) * C_x**degree.  In a genuine equilibrium lhs >= rhs
     at every high node, so a failure flags a non-equilibrium input.
     """
-    if not rg.in_v1(x):
+    if x not in rg.v1:
         raise PreconditionError(f"resource {x} is not above the threshold")
     lhs = 0
     for y, mult in sorted(Counter(rg.children[x]).items()):
         weight = min(mult, rg.opt_cap)
-        if rg.in_v1(y):
+        if y in rg.v1:
             lhs += weight * delay(int(rg.congestion[y]), rg.degree)
         else:
             lhs += weight * delay(rg.threshold, rg.degree)
@@ -153,7 +106,7 @@ def descendant_count_check(rg: ResourceGraph, root: int) -> tuple[int, bool]:
     certifies count * cap * threshold**degree >= (C - cap)/(2 cap) * C**degree
     where C is the root congestion.
     """
-    if not rg.in_v1(root):
+    if root not in rg.v1:
         raise PreconditionError(f"root {root} is not above the threshold")
     seen = {root}
     stack = [root]
@@ -164,7 +117,7 @@ def descendant_count_check(rg: ResourceGraph, root: int) -> tuple[int, bool]:
             if y in seen:
                 continue
             seen.add(y)
-            if rg.in_v1(y):
+            if y in rg.v1:
                 stack.append(y)
             else:
                 v2_reached.add(y)

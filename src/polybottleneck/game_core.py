@@ -162,12 +162,6 @@ def player_cost(game: Game, profile: Sequence[int], player: int) -> int:
     return switch_cost(congestion_of(game, profile), chosen, chosen, game.degree)
 
 
-def profile_length(game: Game, profile: Sequence[int]) -> int:
-    """Maximum number of resources used by any single player."""
-    profile = validate_profile(game, profile)
-    return max(len(game.chosen(profile, i)) for i in range(game.num_players))
-
-
 # ---------------------------------------------------------------------------
 # Game file format (JSON):
 #   {"degree": M, "num_resources": z, "players": [[[r, ...], [r, ...]], ...]}

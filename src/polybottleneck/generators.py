@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import equilibria
-from .errors import StructuralError
+from .errors import StructuralError, UsageError
 from .game_core import Game, Profile, bottleneck, congestion_of
 
 
@@ -18,6 +18,10 @@ def random_game(
 ) -> Game:
     """Small random game: 2..max players, strategies are uniform nonempty
     resource subsets of size at most 3."""
+    for name, value in (("max_players", max_players), ("max_resources", max_resources),
+                        ("max_strategies", max_strategies)):
+        if value < 2:
+            raise UsageError(f"{name} must be at least 2, got {value}")
     n = int(rng.integers(2, max_players + 1))
     z = int(rng.integers(2, max_resources + 1))
     degree = int(rng.choice(np.asarray(degrees)))

@@ -17,6 +17,9 @@ from . import equilibria
 from .errors import StateSpaceTooLargeError, StructuralError, UsageError
 from .game_core import Game, Profile, bottleneck, congestion_of
 
+# Largest instance ``generate`` builds: n=1000 at degree 1, n=100 at degree 2.
+RESOURCE_CAP = 10**6
+
 
 @dataclass(frozen=True)
 class LowerBoundInstance:
@@ -56,7 +59,7 @@ class LowerBoundReport:
         }
 
 
-def generate(n: int, degree: int, resource_cap: int = 10**6) -> LowerBoundInstance:
+def generate(n: int, degree: int) -> LowerBoundInstance:
     """Build the instance with n players and delay degree M.
 
     Resource 0 is the shared direct resource and doubles as the first hop of
@@ -69,9 +72,9 @@ def generate(n: int, degree: int, resource_cap: int = 10**6) -> LowerBoundInstan
         raise UsageError(f"degree must be >= 1, got {degree}")
     path_len = n**degree
     num_resources = n ** (degree + 1)
-    if num_resources > resource_cap:
+    if num_resources > RESOURCE_CAP:
         raise StateSpaceTooLargeError(
-            f"instance needs {num_resources} resources, above the cap {resource_cap}"
+            f"instance needs {num_resources} resources, above the cap {RESOURCE_CAP}"
         )
     players = []
     for i in range(n):

@@ -20,7 +20,7 @@ Terminology used here:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterable, Sequence
 
@@ -56,17 +56,11 @@ class PartitionPair:
 
 @dataclass
 class PhaseState:
-    """Working state and summary of one congestion level of the phase loop."""
+    """Summary of one congestion level of the phase loop."""
 
     level: int
-    band: list[int] = field(default_factory=list)       # multi players in the cost band
-    level_resources: tuple[int, ...] = ()               # congestion exactly == level
-    spread: list[int] = field(default_factory=list)     # wide low-congestion tracked sets
-    locked: list[int] = field(default_factory=list)     # tracked to one level resource
-    markable_resources: tuple[int, ...] = ()            # round-robin donor order
-    cursor: int = 0
-    markings: int = 0
     splits: int = 0
+    markings: int = 0
 
 
 class TwoStrategyGame:
@@ -387,8 +381,14 @@ def greedy_cover_pairs(
     return pairs
 
 
-def partition_pairs(tsg: TwoStrategyGame, pid: int) -> list[PartitionPair]:
-    """Greedy cover partition of a multi player's two strategies."""
+def split_player(tsg: TwoStrategyGame, pid: int) -> list[int]:
+    """Replace a multi player by one sub-player per cover pair of its greedy
+    cover partition.
+
+    The player's two strategies must be disjoint.  Equilibrium congestion is
+    untouched; every sub-player is in equilibrium with cost at most the old
+    player's cost.
+    """
     player = tsg.players[pid]
     if player.is_singleton:
         raise PreconditionError(f"player {pid} already uses a single resource")
@@ -398,19 +398,10 @@ def partition_pairs(tsg: TwoStrategyGame, pid: int) -> list[PartitionPair]:
         )
     eq_items = [(r, int(tsg._eq_cong[r])) for r in player.eq_strategy]
     opt_items = [(r, int(tsg._eq_cong[r])) for r in player.opt_strategy]
-    return greedy_cover_pairs(eq_items, opt_items, tsg.degree)
-
-
-def split_player(tsg: TwoStrategyGame, pid: int) -> list[int]:
-    """Replace a multi player by one sub-player per cover pair.
-
-    Equilibrium congestion is untouched; every sub-player is in equilibrium
-    with cost at most the old player's cost.
-    """
-    pairs = partition_pairs(tsg, pid)
+    pairs = greedy_cover_pairs(eq_items, opt_items, tsg.degree)
     old_cost = tsg.cost(pid)
     # A multi sub-player may cost at most joining its most congested tracked resource.
-    dearest = max(tsg.players[pid].opt_strategy, key=lambda r: tsg._eq_cong[r])
+    dearest = max(player.opt_strategy, key=lambda r: tsg._eq_cong[r])
     cap = switch_cost(tsg._eq_cong, (), (dearest,), tsg.degree)
     before_eq = tsg.eq_congestion()
     tsg.remove_player(pid)
@@ -443,7 +434,7 @@ def split_player(tsg: TwoStrategyGame, pid: int) -> list[int]:
 # Phase machinery
 # ---------------------------------------------------------------------------
 
-def eliminate_high_congestion(tsg: TwoStrategyGame, phase: PhaseState, pid: int) -> None:
+def eliminate_high_congestion(tsg: TwoStrategyGame, level: int, pid: int) -> None:
     """Rewire a player tracked to one over-congested resource.
 
     While the player's tracked strategy is a single resource with congestion
@@ -451,7 +442,6 @@ def eliminate_high_congestion(tsg: TwoStrategyGame, phase: PhaseState, pid: int)
     of) its own tracked strategy and is itself re-tracked to the resource it
     plays.  Neither congestion vector changes on the affected resources.
     """
-    level = phase.level
     player = tsg.players[pid]
     while len(player.opt_strategy) == 1 and int(tsg._eq_cong[player.opt_strategy[0]]) > level:
         x = player.opt_strategy[0]
@@ -538,8 +528,7 @@ def run_phase(tsg: TwoStrategyGame, level: int) -> PhaseState:
                     f"multi player {pid} plays over-congested resource {r}", state=tsg.to_dict()
                 )
 
-    phase.band = _band(tsg, level)
-    for pid in phase.band:
+    for pid in _band(tsg, level):
         split_player(tsg, pid)
         phase.splits += 1
 
@@ -562,7 +551,7 @@ def run_phase(tsg: TwoStrategyGame, level: int) -> PhaseState:
     qualified = sorted(set(qualified))
 
     for pid in qualified:
-        eliminate_high_congestion(tsg, phase, pid)
+        eliminate_high_congestion(tsg, level, pid)
 
     def classify(pid: int) -> str:
         p = tsg.players[pid]
@@ -576,24 +565,25 @@ def run_phase(tsg: TwoStrategyGame, level: int) -> PhaseState:
             return "spread"
         return "other"
 
+    spread: list[int] = []  # wide low-congestion tracked sets
+    locked: list[int] = []  # tracked to one level resource
     for pid in qualified:
         kind = classify(pid)
-        p = tsg.players[pid]
         if kind == "spread":
-            phase.spread.append(pid)
+            spread.append(pid)
         elif kind == "locked":
-            phase.locked.append(pid)
-        elif not p.is_singleton:
+            locked.append(pid)
+        elif not tsg.players[pid].is_singleton:
             raise StructuralError(
                 f"multi player {pid} fits neither phase bucket", state=tsg.to_dict()
             )
 
-    for pid in phase.spread:
+    for pid in spread:
         if not tsg.players[pid].is_singleton:
             split_player(tsg, pid)
             phase.splits += 1
 
-    _resolve_locked(tsg, phase)
+    _resolve_locked(tsg, phase, locked)
 
     for pid in tsg.player_ids():
         if not tsg.players[pid].is_singleton and tsg.cost(pid) > level_cost:
@@ -605,7 +595,7 @@ def run_phase(tsg: TwoStrategyGame, level: int) -> PhaseState:
     return phase
 
 
-def _resolve_locked(tsg: TwoStrategyGame, phase: PhaseState) -> None:
+def _resolve_locked(tsg: TwoStrategyGame, phase: PhaseState, locked: list[int]) -> None:
     """Transform multi players tracked to a single level resource.
 
     Each round picks an unmarked singleton donor from the level resources in
@@ -621,14 +611,12 @@ def _resolve_locked(tsg: TwoStrategyGame, phase: PhaseState) -> None:
         q = tsg.players[qid]
         if q.is_singleton and int(tsg._eq_cong[q.eq_strategy[0]]) == level:
             singles_on.setdefault(q.eq_strategy[0], []).append(qid)
-    phase.level_resources = tuple(sorted(
-        int(r) for r in np.nonzero(tsg._eq_cong == level)[0]
-    ))
-    phase.markable_resources = tuple(sorted(
-        singles_on, key=lambda r: (len(singles_on[r]), r)
-    ))
-    queue = deque(pid for pid in phase.locked if not tsg.players[pid].is_singleton)
-    mark_budget = 4 * max(1, tsg.opt_bottleneck) * max(1, len(phase.level_resources)) + 64
+    num_level_resources = int(np.count_nonzero(tsg._eq_cong == level))
+    # Round-robin donor order, and the position the next search starts at.
+    order = tuple(sorted(singles_on, key=lambda r: (len(singles_on[r]), r)))
+    cursor = 0
+    queue = deque(pid for pid in locked if not tsg.players[pid].is_singleton)
+    mark_budget = 4 * max(1, tsg.opt_bottleneck) * max(1, num_level_resources) + 64
 
     while queue:
         pid = queue.popleft()
@@ -637,7 +625,7 @@ def _resolve_locked(tsg: TwoStrategyGame, phase: PhaseState) -> None:
             raise StructuralError(
                 f"marking budget exhausted at level {level}", state=tsg.to_dict()
             )
-        donor_pick = _pick_donor(tsg, phase, player)
+        donor_pick = _pick_donor(tsg, order, cursor, player)
         if donor_pick is None:
             raise StructuralError(
                 f"no unmarked donor available at level {level} for player {pid}",
@@ -657,14 +645,14 @@ def _resolve_locked(tsg: TwoStrategyGame, phase: PhaseState) -> None:
         donor.opt_strategy = (resource,)
         donor.marked = True
         phase.markings += 1
-        phase.cursor = (position + 1) % max(1, len(phase.markable_resources))
+        cursor = (position + 1) % len(order)
         tsg.record("mark", donor=qid, resource=resource, player=pid, new_ids=new_ids)
         for nid in new_ids:
             p = tsg.players[nid]
             if p.is_singleton or tsg.cost(nid) <= level_cost:
                 continue
             if len(p.opt_strategy) == 1 and int(tsg._eq_cong[p.opt_strategy[0]]) > level:
-                eliminate_high_congestion(tsg, phase, nid)
+                eliminate_high_congestion(tsg, level, nid)
                 p = tsg.players[nid]
             if len(p.opt_strategy) == 1:
                 queue.append(nid)
@@ -674,16 +662,14 @@ def _resolve_locked(tsg: TwoStrategyGame, phase: PhaseState) -> None:
 
 
 def _pick_donor(
-    tsg: TwoStrategyGame, phase: PhaseState, player: TwoStrategyPlayer
+    tsg: TwoStrategyGame, order: tuple[int, ...], cursor: int, player: TwoStrategyPlayer
 ) -> tuple[int, int, int] | None:
-    """Next unmarked singleton donor in round-robin order whose tracked
-    strategy is disjoint from the player's strategies."""
-    order = phase.markable_resources
-    if not order:
-        return None
+    """Next unmarked singleton donor in round-robin order over ``order``,
+    starting at ``cursor``, whose tracked strategy is disjoint from the
+    player's strategies."""
     avoid = set(player.opt_strategy) | set(player.eq_strategy)
     for step in range(len(order)):
-        position = (phase.cursor + step) % len(order)
+        position = (cursor + step) % len(order)
         resource = order[position]
         candidates = [
             qid

@@ -39,6 +39,11 @@ def oracle_player_cost(game: Game, profile, player: int) -> int:
                for r in game.strategies[player][profile[player]])
 
 
+def oracle_potential(game: Game, profile) -> int:
+    counts = oracle_congestion(game, profile)
+    return sum(oracle_power(j, game.degree) for c in counts for j in range(1, c + 1))
+
+
 def oracle_best_response(game: Game, profile, player: int) -> int:
     best_idx, best_cost = None, None
     for s in range(len(game.strategies[player])):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from polybottleneck import equilibria, expansion, generators, lower_bound, transform
-from polybottleneck.game_core import bottleneck, congestion_of
+from polybottleneck.game_core import bottleneck, congestion_of, switch_cost
 from polybottleneck.transform import greedy_cover_pairs
 
 from conftest import oracle_is_nash
@@ -125,12 +125,11 @@ def test_criterion_4_potential_convergence(random_games_200):
             # explicit walk so each move's potential drop is checked here
             while stable < game.num_players:
                 counts = congestion_of(game, tuple(profile))
-                cur = equilibria.deviation_cost(
-                    game, tuple(profile), player, profile[player], counts
-                )
+                current = game.strategies[player][profile[player]]
+                cur = switch_cost(counts, current, current, game.degree)
                 best = equilibria.best_response(game, tuple(profile), player)
-                best_cost = equilibria.deviation_cost(
-                    game, tuple(profile), player, best, counts
+                best_cost = switch_cost(
+                    counts, current, game.strategies[player][best], game.degree
                 )
                 if best_cost < cur:
                     phi_before = equilibria.rosenthal_potential(game, tuple(profile))

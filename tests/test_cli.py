@@ -99,13 +99,6 @@ class TestAnalyze:
         assert [rc for rc, _, _ in seen] == [2, 0, 2]
         assert seen == [alone[tuple(argv)] for argv in calls]
 
-    def test_bad_state_cap_env_is_usage_error(self, family_file, capsys, monkeypatch):
-        monkeypatch.setenv("POLYBOTTLENECK_STATE_CAP", "abc")
-        rc = main(["analyze", family_file])
-        err = capsys.readouterr().err
-        assert_usage_error(rc, err)
-        assert "POLYBOTTLENECK_STATE_CAP" in err
-
 
 class TestSuite:
     def test_small_suite_passes(self, capsys):
@@ -199,6 +192,23 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert not found, found
+
+
+@pytest.mark.parametrize("argv", [
+    ["suite", "--max-players", "1"],
+    ["suite", "--max-resources", "1"],
+    ["suite", "--max-strategies", "1"],
+    ["suite", "--count", "-3"],
+    ["analyze", "GAME", "--cap", "-1"],
+    ["expansion", "GAME", "--cap", "0"],
+    ["lower-bound", "--n", "3", "--degree", "1", "--cap", "0"],
+    ["sweep", "--degree", "1", "--n-range", "5..3"],
+])
+def test_bad_number_is_usage_error(argv, family_file, capsys):
+    rc = main([family_file if a == "GAME" else a for a in argv])
+    out, err = capsys.readouterr()
+    assert_usage_error(rc, err)
+    assert out == ""
 
 
 class TestSweep:

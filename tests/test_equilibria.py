@@ -24,6 +24,7 @@ from conftest import (
     oracle_nash_profiles,
     oracle_optimal,
     oracle_player_cost,
+    oracle_potential,
 )
 
 
@@ -101,6 +102,14 @@ class TestPotential:
         assert rosenthal_potential(game, (0, 0)) == 1 + 4
 
     @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(1, 30), st.data())
+    def test_matches_oracle(self, seed, degree, data):
+        rng = np.random.default_rng(seed)
+        game = generators.random_game(rng, max_players=6, degrees=(degree,))
+        profile = tuple(data.draw(st.integers(0, len(s) - 1)) for s in game.strategies)
+        assert rosenthal_potential(game, profile) == oracle_potential(game, profile)
+
+    @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10**6), st.data())
     def test_unilateral_move_shifts_potential_by_cost_delta(self, seed, data):
         rng = np.random.default_rng(seed)
@@ -124,7 +133,7 @@ class TestDynamics:
         report = best_response_dynamics(inst.game, inst.state_all_direct)
         assert report.profile == inst.state_all_direct
         assert report.moves == 0
-        assert report.is_nash
+        assert is_nash(inst.game, report.profile)
 
     def test_converges_within_potential_budget(self, rng):
         for _ in range(60):
@@ -161,16 +170,14 @@ class TestEnumeration:
         with pytest.raises(StateSpaceTooLargeError):
             price_of_anarchy(game, cap=100)
 
-    def test_cap_env_default(self, monkeypatch):
-        game = Game.build(2, 1, [[[0], [1]]] * 10)
-        monkeypatch.setenv("POLYBOTTLENECK_STATE_CAP", "100")
-        with pytest.raises(StateSpaceTooLargeError):
-            optimal_profile(game)
-        with pytest.raises(StateSpaceTooLargeError):
-            price_of_anarchy(game)
-        monkeypatch.setenv("POLYBOTTLENECK_STATE_CAP", "2000")
+    def test_cap_env_default(self):
         # 2**10 = 1024 states fit: ten players split five and five at best
-        assert optimal_profile(game)[1] == 5
+        game = Game.build(2, 1, [[[0], [1]]] * 10)
+        assert optimal_profile(game, cap=2000)[1] == 5
+        # without cap= the default cap of 10**7 states applies: 2**24 is over
+        too_big = Game.build(2, 1, [[[0], [1]]] * 24)
+        with pytest.raises(StateSpaceTooLargeError):
+            price_of_anarchy(too_big)
 
 
 class TestOptimal:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import Counter
 from fractions import Fraction
@@ -10,7 +11,6 @@ from polybottleneck.errors import PreconditionError
 from polybottleneck.expansion import (
     ResourceGraph,
     build_resource_graph,
-    build_resource_graph_from_game,
     check_expansion,
     descendant_count_check,
     expansion_report,
@@ -18,7 +18,55 @@ from polybottleneck.expansion import (
     upper_bound_general,
     upper_bound_singleton,
 )
-from polybottleneck.game_core import Game
+from polybottleneck.game_core import Game, bottleneck, congestion_of
+from polybottleneck.transform import TwoStrategyGame, init_two_strategy
+
+
+def reference_graph(game, nash_profile, optimal_profile):
+    """The resource graph read straight off a game's two profiles, without the
+    two-strategy form: the threshold and the multiplicity cap come from the
+    optimal profile's bottleneck, the edges from each singleton player's
+    optimal strategy."""
+    congestion = congestion_of(game, nash_profile)
+    cap = max(1, bottleneck(congestion_of(game, optimal_profile)))
+    threshold = max(2 * game.degree, 3 * cap)
+    v1 = frozenset(int(r) for r in np.nonzero(congestion > threshold)[0])
+    entries = [
+        (game.chosen(tuple(nash_profile), i), game.chosen(tuple(optimal_profile), i))
+        for i in range(game.num_players)
+    ]
+    for eq, _ in entries:
+        if len(eq) > 1:
+            for r in eq:
+                if r in v1:
+                    raise PreconditionError(
+                        f"resource {r} is above the threshold but hosts a "
+                        f"multi-resource player; transform the game first"
+                    )
+    children = {x: [] for x in sorted(v1)}
+    for eq, opt in entries:
+        if len(eq) == 1 and eq[0] in v1:
+            children[eq[0]].extend(int(y) for y in opt if y != eq[0])
+    return ResourceGraph(
+        congestion=congestion.copy(),
+        degree=game.degree,
+        threshold=threshold,
+        opt_cap=cap,
+        children={x: tuple(sorted(ys)) for x, ys in children.items()},
+        v1=v1,
+    )
+
+
+def graph_fields(build, *args):
+    """Every ``ResourceGraph`` field as plain values, or the error raised."""
+    try:
+        rg = build(*args)
+    except PreconditionError as exc:
+        return ("error", str(exc))
+    return {
+        f.name: getattr(rg, f.name).tolist() if f.name == "congestion" else getattr(rg, f.name)
+        for f in dataclasses.fields(ResourceGraph)
+    }
 
 
 def star_graph(center_congestion=7, leaves=6, threshold=3, opt_cap=1, degree=1):
@@ -37,7 +85,7 @@ class TestBuildGraph:
     def test_all_low_congestion_gives_empty_graph(self):
         game = Game.build(3, 1, [[[0]], [[1]], [[2]]])
         report = equilibria.price_of_anarchy(game)
-        rg = build_resource_graph_from_game(game, report.worst_nash, report.optimal)
+        rg = build_resource_graph(init_two_strategy(game, report.worst_nash, report.optimal))
         assert not rg.v1
         assert rg.children == {}
 
@@ -67,13 +115,17 @@ class TestBuildGraph:
             assert Counter(rg.children[x]) == expected
 
     def test_multi_player_on_high_resource_rejected(self):
-        # two players both playing {0,1} on top of three singles makes
-        # resource 0 exceed any threshold while hosting multi players
-        players = [[[0, 1], [2]]] * 2 + [[[0], [3]]] * 3
-        game = Game.build(4, 1, players)
-        profile = tuple([0] * 5)
+        # two players both playing {0,1} on top of three singles put resource
+        # 0 at congestion 5, above the threshold of 2, while it hosts multi
+        # players
+        tsg = TwoStrategyGame(num_resources=4, degree=1, threshold=2,
+                              eq_bottleneck=5, opt_bottleneck=1)
+        for _ in range(2):
+            tsg.add_player([0, 1], [2])
+        for _ in range(3):
+            tsg.add_player([0], [3])
         with pytest.raises(PreconditionError, match="multi-resource"):
-            build_resource_graph_from_game(game, profile, profile, threshold=2, opt_cap=1)
+            build_resource_graph(tsg)
 
     def test_no_self_children(self):
         inst = lower_bound.generate(4, 1)
@@ -200,3 +252,37 @@ class TestReport:
         assert report["num_high_nodes"] == 1
         assert report["max_congestion_root"]["resource"] == 0
         assert report["max_congestion_root"]["holds"]
+
+
+class TestReferenceBuilder:
+    """``build_resource_graph(init_two_strategy(...))`` against the graph read
+    straight off the game's profiles."""
+
+    def cases(self):
+        for degree in (1, 2):
+            for seed in range(20):
+                yield generators.forced_congestion_game(np.random.default_rng(seed), degree)
+        for degree, sizes in ((1, range(4, 13)), (2, range(3, 7))):
+            for n in sizes:
+                inst = lower_bound.generate(n, degree)
+                yield inst.game, inst.state_all_direct, inst.state_all_paths
+        rng = np.random.default_rng(606)
+        for _ in range(100):
+            game = generators.random_game(rng)
+            report = equilibria.price_of_anarchy(game)
+            yield game, report.worst_nash, report.optimal
+
+    def test_same_graph_or_same_error(self):
+        graphs = errors = 0
+        for game, eq, opt in self.cases():
+            expected = graph_fields(reference_graph, game, eq, opt)
+            got = graph_fields(
+                lambda *a: build_resource_graph(init_two_strategy(*a)), game, eq, opt
+            )
+            assert got == expected
+            if isinstance(got, tuple):
+                errors += 1
+            elif got["v1"]:
+                graphs += 1
+        # both outcomes are exercised: high nodes with edges, and rejections
+        assert graphs >= 10 and errors >= 10

@@ -16,7 +16,6 @@ from polybottleneck.game_core import (
     game_to_dict,
     load_game,
     player_cost,
-    profile_length,
     save_game,
     switch_cost,
 )
@@ -147,26 +146,6 @@ class TestPlayerCost:
         game = Game.build(1, 1, [[[0]]])
         with pytest.raises(InvalidProfileError):
             player_cost(game, (0,), 3)
-
-
-class TestProfileLength:
-    def test_all_singletons(self):
-        game = Game.build(3, 1, [[[0]], [[1]], [[2]]])
-        assert profile_length(game, (0, 0, 0)) == 1
-
-    def test_family_paths(self):
-        inst = lower_bound.generate(4, 1)
-        assert profile_length(inst.game, inst.state_all_paths) == 4
-
-    def test_matches_direct_scan(self, rng):
-        game = Game.build(5, 1, [
-            [[0, 1, 2], [3]],
-            [[4], [0, 4]],
-        ])
-        for _ in range(10):
-            profile = tuple(int(rng.integers(0, len(s))) for s in game.strategies)
-            expected = max(len(game.strategies[i][profile[i]]) for i in range(2))
-            assert profile_length(game, profile) == expected
 
 
 class TestProperties:

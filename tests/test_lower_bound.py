@@ -42,7 +42,7 @@ class TestGenerate:
         with pytest.raises(ValueError):
             lower_bound.generate(2, 0)
         with pytest.raises(StateSpaceTooLargeError):
-            lower_bound.generate(100, 3, resource_cap=10**6)
+            lower_bound.generate(100, 3)
 
 
 class TestIndifference:

@@ -9,13 +9,11 @@ from polybottleneck import equilibria, generators, lower_bound
 from polybottleneck.errors import DominationError, PreconditionError, StructuralError
 from polybottleneck.game_core import Game, bottleneck, congestion_of
 from polybottleneck.transform import (
-    PhaseState,
     TwoStrategyGame,
     clean_game,
     eliminate_high_congestion,
     greedy_cover_pairs,
     init_two_strategy,
-    partition_pairs,
     run_phase,
     split_player,
     transform_to_singletons,
@@ -245,7 +243,14 @@ class TestGreedyCoverPairs:
                               eq_bottleneck=1, opt_bottleneck=1)
         pid = tsg.add_player([0, 1], [1])
         with pytest.raises(PreconditionError, match="overlapping"):
-            partition_pairs(tsg, pid)
+            split_player(tsg, pid)
+
+    def test_split_requires_multi_player(self):
+        tsg = TwoStrategyGame(num_resources=3, degree=1, threshold=9,
+                              eq_bottleneck=1, opt_bottleneck=1)
+        pid = tsg.add_player([0], [1, 2])
+        with pytest.raises(PreconditionError, match="single resource"):
+            split_player(tsg, pid)
 
 
 class TestSplitPlayer:
@@ -298,13 +303,13 @@ class TestEliminate:
         tsg.add_player([1], [1])
         tsg.add_player([1], [1])
         before = tsg.players[pid].opt_strategy
-        eliminate_high_congestion(tsg, PhaseState(level=2), pid)
+        eliminate_high_congestion(tsg, 2, pid)
         assert tsg.players[pid].opt_strategy == before
 
     def test_single_iteration_rewires_both_players(self):
         tsg, donor, mover = self._manual_tsg()
         opt_before = tsg.opt_congestion()
-        eliminate_high_congestion(tsg, PhaseState(level=3), mover)
+        eliminate_high_congestion(tsg, 3, mover)
         assert tsg.players[mover].opt_strategy == (1,)
         assert tsg.players[donor].opt_strategy == (0,)
         after = tsg.opt_congestion()
@@ -314,7 +319,7 @@ class TestEliminate:
     def test_congestion_vectors_invariant(self):
         tsg, donor, mover = self._manual_tsg()
         eq_before = tsg.eq_congestion()
-        eliminate_high_congestion(tsg, PhaseState(level=3), mover)
+        eliminate_high_congestion(tsg, 3, mover)
         assert np.array_equal(tsg.eq_congestion(), eq_before)
 
 
