@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Any, Sequence
 
 from . import kernels
@@ -19,7 +20,7 @@ from .game_core import (
     Profile,
     bottleneck,
     congestion_of,
-    delay,
+    power_table,
     switch_cost,
     validate_profile,
 )
@@ -67,14 +68,14 @@ def _costs(game: Game, profile: Sequence[int], player: int, counts) -> list[int]
 def best_response(game: Game, profile: Sequence[int], player: int) -> int:
     """Index of a cost-minimizing strategy, others fixed; ties -> lowest index."""
     profile = validate_profile(game, profile)
-    costs = _costs(game, profile, player, congestion_of(game, profile))
+    costs = _costs(game, profile, player, congestion_of(game, profile).tolist())
     return costs.index(min(costs))
 
 
 def is_nash(game: Game, profile: Sequence[int]) -> bool:
     """Weak equilibrium: no player has a strictly cheaper alternative."""
     profile = validate_profile(game, profile)
-    counts = congestion_of(game, profile)
+    counts = congestion_of(game, profile).tolist()
     for i in range(game.num_players):
         costs = _costs(game, profile, i, counts)
         if min(costs) < costs[profile[i]]:
@@ -90,9 +91,8 @@ def rosenthal_potential(game: Game, profile: Sequence[int]) -> int:
     recounted from the profile; ``prefix[c]`` holds 1**M + ... + c**M.
     """
     counts = congestion_of(game, profile)
-    prefix = [0]
-    for c in range(1, bottleneck(counts) + 1):
-        prefix.append(prefix[-1] + delay(c, game.degree))
+    top = bottleneck(counts)
+    prefix = list(accumulate(power_table(game.degree, top)[:top + 1]))
     return sum(prefix[c] for c in counts.tolist())
 
 
@@ -108,7 +108,7 @@ def best_response_dynamics(
     ``rosenthal_potential(game, start)`` moves.
     """
     profile = list(validate_profile(game, start))
-    counts = congestion_of(game, profile)  # kept in step with every move
+    counts = congestion_of(game, profile).tolist()  # kept in step with every move
     start_potential = rosenthal_potential(game, profile)
     budget = max_steps if max_steps is not None else start_potential + 1
     moves = 0
@@ -126,9 +126,11 @@ def best_response_dynamics(
                     f"no equilibrium after {budget} moves (potential at start "
                     f"was {start_potential})"
                 )
-            counts[list(game.chosen(profile, player))] -= 1
+            for r in game.chosen(profile, player):
+                counts[r] -= 1
             profile[player] = costs.index(best_cost)
-            counts[list(game.chosen(profile, player))] += 1
+            for r in game.chosen(profile, player):
+                counts[r] += 1
             moves += 1
             # Recomputed from scratch, so drift in ``counts`` shows up here too.
             new_potential = rosenthal_potential(game, profile)
@@ -144,7 +146,7 @@ def best_response_dynamics(
         player = (player + 1) % n
     return EquilibriumReport(
         profile=tuple(profile),
-        bottleneck=bottleneck(counts),
+        bottleneck=max(counts),
         potential=potential,
         moves=moves,
     )

@@ -17,7 +17,7 @@ from typing import Any
 import numpy as np
 
 from .errors import PreconditionError
-from .game_core import delay
+from .game_core import power_table
 from .transform import TwoStrategyGame
 
 
@@ -87,15 +87,16 @@ def check_expansion(rg: ResourceGraph, x: int) -> tuple[int, Fraction, bool]:
     """
     if x not in rg.v1:
         raise PreconditionError(f"resource {x} is not above the threshold")
+    cx = int(rg.congestion[x])
+    powers = power_table(rg.degree, max(rg.threshold, int(rg.congestion.max())))
     lhs = 0
     for y, mult in sorted(Counter(rg.children[x]).items()):
         weight = min(mult, rg.opt_cap)
         if y in rg.v1:
-            lhs += weight * delay(int(rg.congestion[y]), rg.degree)
+            lhs += weight * powers[rg.congestion[y]]
         else:
-            lhs += weight * delay(rg.threshold, rg.degree)
-    cx = int(rg.congestion[x])
-    rhs = Fraction(cx - rg.opt_cap, 2 * rg.opt_cap) * delay(cx, rg.degree)
+            lhs += weight * powers[rg.threshold]
+    rhs = Fraction(cx - rg.opt_cap, 2 * rg.opt_cap) * powers[cx]
     return lhs, rhs, lhs >= rhs
 
 
@@ -123,8 +124,9 @@ def descendant_count_check(rg: ResourceGraph, root: int) -> tuple[int, bool]:
                 v2_reached.add(y)
     count = len(v2_reached)
     c = int(rg.congestion[root])
-    lhs = count * rg.opt_cap * delay(rg.threshold, rg.degree)
-    rhs = Fraction(c - rg.opt_cap, 2 * rg.opt_cap) * delay(c, rg.degree)
+    powers = power_table(rg.degree, max(c, rg.threshold))
+    lhs = count * rg.opt_cap * powers[rg.threshold]
+    rhs = Fraction(c - rg.opt_cap, 2 * rg.opt_cap) * powers[c]
     return count, Fraction(lhs) >= rhs
 
 

@@ -102,17 +102,17 @@ def validate_profile(game: Game, profile: Sequence[int]) -> Profile:
                 f"player {i}: choice {choice} out of range "
                 f"[0, {len(game.strategies[i])})"
             )
-    return tuple(int(c) for c in profile)
+    return tuple(map(int, profile))
 
 
 def congestion_of(game: Game, profile: Sequence[int]) -> CongestionVector:
     """Number of players using each resource in the given state."""
     profile = validate_profile(game, profile)
-    counts = np.zeros(game.num_resources, dtype=np.int64)
+    counts = [0] * game.num_resources
     for player, choice in enumerate(profile):
         for r in game.strategies[player][choice]:
             counts[r] += 1
-    return counts
+    return np.array(counts, dtype=np.int64)
 
 
 def bottleneck(cv: CongestionVector) -> int:
@@ -128,12 +128,29 @@ def delay(congestion: int, degree: int) -> int:
     Exact integer arithmetic; Python integers are unbounded so the result
     never wraps.  (The accelerated scan kernels use fixed-width integers but
     are guarded by a precomputed bound and fall back to the exact path.)
+    This is the one definition of ``c**M``: ``power_table`` is filled from it.
     """
     if congestion < 0:
         raise ValueError(f"congestion must be >= 0, got {congestion}")
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
     return int(congestion) ** int(degree)
+
+
+# One table per degree: _POWERS[M][c] == delay(c, M), extended on demand.
+_POWERS: dict[int, list[int]] = {}
+
+
+def power_table(degree: int, top: int) -> list[int]:
+    """The shared list ``[0**M, 1**M, ...]`` of this degree, extended through
+    at least ``top``.  Entries come from ``delay``, so a negative ``top`` or a
+    degree below 1 raises its ``ValueError``.  Callers only read the list."""
+    if top < 0 or degree < 1:
+        delay(top, degree)
+    table = _POWERS.setdefault(degree, [])
+    for c in range(len(table), top + 1):
+        table.append(delay(c, degree))
+    return table
 
 
 def switch_cost(
@@ -145,11 +162,17 @@ def switch_cost(
     congestion; a newly adopted one carries one more user.  So
     ``target == current`` gives the cost paid now, and ``current == ()`` the
     cost of joining on top of the given congestion.  ``current`` is only
-    searched with ``in``: strategies are short, so a tuple is fastest.
+    searched with ``in``: strategies are short, so a tuple is fastest.  Each
+    term is read from ``power_table``; a count outside the table (negative
+    included, which must not index from the end) goes through it first.
     """
+    table = _POWERS.get(degree) or power_table(degree, 0)
     total = 0
     for r in target:
-        total += delay(counts[r] + (r not in current), degree)
+        c = counts[r] + (r not in current)
+        if not 0 <= c < len(table):
+            table = power_table(degree, c)
+        total += table[c]
     return total
 
 

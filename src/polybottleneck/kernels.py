@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game_core import Game, Profile
+from .game_core import Game, Profile, power_table
 
 # int64 margin: leaves headroom for the accumulating sums.
 _INT64_SAFE_LIMIT = 2**62
@@ -102,7 +102,7 @@ def encode_game(game: Game) -> GameArrays:
 
     # Exact delay table over all reachable congestions (<= n players on a
     # resource, +1 headroom for deviation lookups).
-    pow_exact = [c**game.degree for c in range(n + 2)]
+    pow_exact = power_table(game.degree, n + 1)[:n + 2]
     int64_safe = max_len * pow_exact[-1] < _INT64_SAFE_LIMIT
     return GameArrays(
         num_used=z,

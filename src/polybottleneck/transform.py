@@ -89,7 +89,7 @@ class TwoStrategyGame:
         self.no_op = False
         self.trace = trace
         self._next_id = 0
-        self._eq_cong = np.zeros(num_resources, dtype=np.int64)
+        self._eq_cong = [0] * num_resources  # plain ints: every cost term reads them
 
     # -- roster -------------------------------------------------------------
 
@@ -126,14 +126,14 @@ class TwoStrategyGame:
     # -- congestion and costs ------------------------------------------------
 
     def eq_congestion(self) -> np.ndarray:
-        return self._eq_cong.copy()
+        return np.array(self._eq_cong, dtype=np.int64)
 
     def opt_congestion(self) -> np.ndarray:
-        counts = np.zeros(self.num_resources, dtype=np.int64)
+        counts = [0] * self.num_resources
         for player in self.players.values():
             for r in player.opt_strategy:
                 counts[r] += 1
-        return counts
+        return np.array(counts, dtype=np.int64)
 
     def tracked_opt_bottleneck(self) -> int:
         return bottleneck(self.opt_congestion())
@@ -269,11 +269,11 @@ def clean_game(tsg: TwoStrategyGame) -> TwoStrategyGame:
         player = tsg.players[pid]
         if not player.is_singleton or len(player.opt_strategy) < 2:
             continue
-        if int(tsg._eq_cong[player.eq_strategy[0]]) <= tsg.threshold:
+        if tsg._eq_cong[player.eq_strategy[0]] <= tsg.threshold:
             continue
         cost = tsg.cost(pid)
         total = tsg.deviation(pid)
-        for r in sorted(player.opt_strategy, key=lambda r: (int(tsg._eq_cong[r]), r)):
+        for r in sorted(player.opt_strategy, key=lambda r: (tsg._eq_cong[r], r)):
             if len(player.opt_strategy) < 2:
                 break
             term = switch_cost(tsg._eq_cong, player.eq_strategy, (r,), tsg.degree)
@@ -396,8 +396,8 @@ def split_player(tsg: TwoStrategyGame, pid: int) -> list[int]:
         raise PreconditionError(
             f"player {pid} has overlapping strategies; clean the game first"
         )
-    eq_items = [(r, int(tsg._eq_cong[r])) for r in player.eq_strategy]
-    opt_items = [(r, int(tsg._eq_cong[r])) for r in player.opt_strategy]
+    eq_items = [(r, tsg._eq_cong[r]) for r in player.eq_strategy]
+    opt_items = [(r, tsg._eq_cong[r]) for r in player.opt_strategy]
     pairs = greedy_cover_pairs(eq_items, opt_items, tsg.degree)
     old_cost = tsg.cost(pid)
     # A multi sub-player may cost at most joining its most congested tracked resource.
@@ -443,7 +443,7 @@ def eliminate_high_congestion(tsg: TwoStrategyGame, level: int, pid: int) -> Non
     plays.  Neither congestion vector changes on the affected resources.
     """
     player = tsg.players[pid]
-    while len(player.opt_strategy) == 1 and int(tsg._eq_cong[player.opt_strategy[0]]) > level:
+    while len(player.opt_strategy) == 1 and tsg._eq_cong[player.opt_strategy[0]] > level:
         x = player.opt_strategy[0]
         hosts = [
             qid
@@ -462,10 +462,10 @@ def eliminate_high_congestion(tsg: TwoStrategyGame, level: int, pid: int) -> Non
         for qid in hosts:
             donor = tsg.players[qid]
             high = [
-                r for r in donor.opt_strategy if int(tsg._eq_cong[r]) >= level
+                r for r in donor.opt_strategy if tsg._eq_cong[r] >= level
             ]
             if high:
-                high.sort(key=lambda r: (int(tsg._eq_cong[r]), r))
+                high.sort(key=lambda r: (tsg._eq_cong[r], r))
                 fset = (high[0],)
             else:
                 fset = donor.opt_strategy
@@ -523,7 +523,7 @@ def run_phase(tsg: TwoStrategyGame, level: int) -> PhaseState:
                 f"multi player {pid} above the band at level {level}", state=tsg.to_dict()
             )
         for r in p.eq_strategy:
-            if int(tsg._eq_cong[r]) > level:
+            if tsg._eq_cong[r] > level:
                 raise StructuralError(
                     f"multi player {pid} plays over-congested resource {r}", state=tsg.to_dict()
                 )
@@ -537,7 +537,7 @@ def run_phase(tsg: TwoStrategyGame, level: int) -> PhaseState:
     survivors = _band(tsg, level)
     for pid in survivors:
         opt = tsg.players[pid].opt_strategy
-        if len(opt) != 1 or int(tsg._eq_cong[opt[0]]) < level:
+        if len(opt) != 1 or tsg._eq_cong[opt[0]] < level:
             raise StructuralError(
                 f"band survivor {pid} is not tracked to one resource at level {level} "
                 f"or above", state=tsg.to_dict()
@@ -556,10 +556,10 @@ def run_phase(tsg: TwoStrategyGame, level: int) -> PhaseState:
     def classify(pid: int) -> str:
         p = tsg.players[pid]
         if len(p.opt_strategy) == 1:
-            if int(tsg._eq_cong[p.opt_strategy[0]]) == level:
+            if tsg._eq_cong[p.opt_strategy[0]] == level:
                 return "locked"
             return "other"
-        max_c = max(int(tsg._eq_cong[r]) for r in p.opt_strategy)
+        max_c = max(tsg._eq_cong[r] for r in p.opt_strategy)
         mass = switch_cost(tsg._eq_cong, (), p.opt_strategy, tsg.degree)
         if max_c <= level - 1 and mass >= upper_cost:
             return "spread"
@@ -609,9 +609,9 @@ def _resolve_locked(tsg: TwoStrategyGame, phase: PhaseState, locked: list[int]) 
     singles_on = {}
     for qid in tsg.player_ids():
         q = tsg.players[qid]
-        if q.is_singleton and int(tsg._eq_cong[q.eq_strategy[0]]) == level:
+        if q.is_singleton and tsg._eq_cong[q.eq_strategy[0]] == level:
             singles_on.setdefault(q.eq_strategy[0], []).append(qid)
-    num_level_resources = int(np.count_nonzero(tsg._eq_cong == level))
+    num_level_resources = tsg._eq_cong.count(level)
     # Round-robin donor order, and the position the next search starts at.
     order = tuple(sorted(singles_on, key=lambda r: (len(singles_on[r]), r)))
     cursor = 0
@@ -651,7 +651,7 @@ def _resolve_locked(tsg: TwoStrategyGame, phase: PhaseState, locked: list[int]) 
             p = tsg.players[nid]
             if p.is_singleton or tsg.cost(nid) <= level_cost:
                 continue
-            if len(p.opt_strategy) == 1 and int(tsg._eq_cong[p.opt_strategy[0]]) > level:
+            if len(p.opt_strategy) == 1 and tsg._eq_cong[p.opt_strategy[0]] > level:
                 eliminate_high_congestion(tsg, level, nid)
                 p = tsg.players[nid]
             if len(p.opt_strategy) == 1:
@@ -730,7 +730,7 @@ def transform_to_singletons(
         if p.is_singleton:
             continue
         for r in p.eq_strategy:
-            if int(tsg._eq_cong[r]) > tsg.threshold:
+            if tsg._eq_cong[r] > tsg.threshold:
                 raise StructuralError(
                     f"multi player {pid} left on over-congested resource {r}",
                     state=tsg.to_dict(),

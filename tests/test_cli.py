@@ -114,11 +114,12 @@ class TestSuite:
         assert first.returncode == 0
         assert first.stdout == second.stdout
 
-    def test_zero_count_is_empty_pass(self, capsys):
-        assert main(["suite", "--count", "0"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["aggregate_pass"]
-        assert payload["records"] == []
+    def test_zero_count_is_usage_error(self, capsys):
+        # A pass over zero games would verify nothing.
+        rc = main(["suite", "--count", "0"])
+        out, err = capsys.readouterr()
+        assert_usage_error(rc, err)
+        assert out == ""
 
 
 class TestTransform:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polybottleneck import lower_bound
+from polybottleneck.equilibria import is_nash
 from polybottleneck.errors import GameFormatError, InvalidProfileError
 from polybottleneck.game_core import (
     Game,
@@ -16,25 +17,27 @@ from polybottleneck.game_core import (
     game_to_dict,
     load_game,
     player_cost,
+    power_table,
     save_game,
     switch_cost,
 )
 
 from conftest import (
     oracle_congestion,
+    oracle_is_nash,
     oracle_player_cost,
     oracle_power,
 )
 
 
-def small_games():
+def small_games(max_players=4):
     """Hypothesis strategy producing small valid games."""
 
     @st.composite
     def build(draw):
         z = draw(st.integers(2, 5))
         degree = draw(st.integers(1, 3))
-        n = draw(st.integers(1, 4))
+        n = draw(st.integers(1, max_players))
         players = []
         for _ in range(n):
             k = draw(st.integers(1, 3))
@@ -122,6 +125,53 @@ class TestDelay:
             delay(-1, 1)
         with pytest.raises(ValueError):
             delay(2, 0)
+
+
+class TestPowerTable:
+    def test_negative_count_raises_like_delay(self):
+        power_table(2, 10)  # index -1 of this list would read 10**2
+        with pytest.raises(ValueError) as from_delay:
+            delay(-1, 2)
+        for counts in ([-1], np.array([-1])):
+            with pytest.raises(ValueError) as from_switch:
+                switch_cost(counts, (0,), (0,), 2)
+            assert str(from_switch.value) == str(from_delay.value)
+        with pytest.raises(ValueError) as from_table:
+            power_table(2, -1)
+        assert str(from_table.value) == str(from_delay.value)
+
+    def test_bad_degree_raises_like_delay(self):
+        with pytest.raises(ValueError) as from_delay:
+            delay(0, 0)
+        with pytest.raises(ValueError) as from_switch:
+            switch_cost([1], (), (0,), 0)
+        assert str(from_switch.value) == str(from_delay.value)
+
+    @settings(max_examples=30, deadline=None)
+    @given(small_games(max_players=6), st.integers(1, 41), st.data())
+    def test_costs_and_nash_match_oracle_at_any_degree(self, shape, drawn, data):
+        # Degrees 1, 30, 1 in turn: one table per degree, so a lookup at
+        # degree 1 after degree 30 must not read a degree-30 entry.
+        profile = tuple(data.draw(st.integers(0, len(s) - 1)) for s in shape.strategies)
+        wide = data.draw(st.lists(st.integers(0, 60), min_size=shape.num_resources,
+                                  max_size=shape.num_resources))
+        for degree in (1, 30, 1, drawn):
+            game = Game(shape.num_resources, degree, shape.strategies)
+            counts = congestion_of(game, profile)
+            for i in range(game.num_players):
+                current = game.chosen(profile, i)
+                for s, target in enumerate(game.strategies[i]):
+                    moved = profile[:i] + (s,) + profile[i + 1:]
+                    expected = oracle_player_cost(game, moved, i)
+                    assert switch_cost(counts, current, target, degree) == expected
+                    assert switch_cost(counts.tolist(), current, target, degree) == expected
+                    # counts up to 61: entries far beyond int64 at degree >= 11
+                    assert switch_cost(wide, current, target, degree) == sum(
+                        oracle_power(wide[r] + (r not in current), degree) for r in target
+                    )
+            assert is_nash(game, profile) == oracle_is_nash(game, profile)
+            assert switch_cost([40], (), (0,), degree) == oracle_power(41, degree)
+        assert oracle_power(41, 30) > 2**63
 
 
 class TestPlayerCost:

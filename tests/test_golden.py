@@ -27,6 +27,8 @@ CASES = {
     "transform_tight6": ["transform", "@tight6.json", "--trace"],
     "transform_forced_d1": ["transform", "@forced_d1.json", "--trace"],
     "transform_forced_d2": ["transform", "@forced_d2.json", "--trace"],
+    "transform_slack_hub_d2": ["transform", "@slack_hub_d2.json", "--trace"],
+    "transform_tight12": ["transform", "@tight12.json", "--trace"],
     "expansion_tight6": ["expansion", "@tight6.json"],
     "expansion_tight6_first": ["expansion", "@tight6.json", "--transform-first"],
     "expansion_forced_d1": ["expansion", "@forced_d1.json"],
@@ -59,12 +61,17 @@ def regenerate() -> None:
 
     from polybottleneck import generators, lower_bound
     from polybottleneck.game_core import save_game
+    from test_transform import slack_hub_game
 
     GOLDEN.mkdir(exist_ok=True)
-    save_game(lower_bound.generate(6, 1).game, str(GOLDEN / "tight6.json"))
+    for n in (6, 12):
+        save_game(lower_bound.generate(n, 1).game, str(GOLDEN / f"tight{n}.json"))
     for degree, seed in ((1, 2), (2, 20)):
         game, _, _ = generators.forced_congestion_game(np.random.default_rng(seed), degree)
         save_game(game, str(GOLDEN / f"forced_d{degree}.json"))
+    # Hub players whose detours have slack: the trace reaches ``prune``.
+    game, _, _ = slack_hub_game(np.random.default_rng(6), 2)
+    save_game(game, str(GOLDEN / "slack_hub_d2.json"))
     codes = {}
     for name, argv in sorted(CASES.items()):
         codes[name], out, err = run_case(argv)
