@@ -59,7 +59,7 @@ def _suite_record(game: Game, index: int, rng: np.random.Generator, cap: int | N
             int(rng.integers(0, len(s))) for s in game.strategies
         )
         budget = equilibria.rosenthal_potential(game, start)
-        result = equilibria.best_response_dynamics(game, start, max_steps=budget + 1)
+        result = equilibria.best_response_dynamics(game, start)
         brd_ok = brd_ok and result.moves <= budget
     record["brd_converges"] = brd_ok
 

@@ -54,24 +54,24 @@ def build_resource_graph(tsg: TwoStrategyGame) -> ResourceGraph:
     """
     congestion = tsg.eq_congestion()
     v1 = frozenset(int(r) for r in np.nonzero(congestion > tsg.threshold)[0])
-    children: dict[int, list[int]] = {x: [] for x in sorted(v1)}
-    for _, p in sorted(tsg.players.items()):
-        if len(p.eq_strategy) > 1:
-            for r in p.eq_strategy:
-                if r in v1:
-                    raise PreconditionError(
-                        f"resource {r} is above the threshold but hosts a "
-                        f"multi-resource player; transform the game first"
-                    )
-        elif p.eq_strategy[0] in v1:
-            x = p.eq_strategy[0]
-            children[x].extend(int(y) for y in p.opt_strategy if y != x)
+    for pid in tsg.multi_ids():
+        for r in tsg.players[pid].eq_strategy:
+            if r in v1:
+                raise PreconditionError(
+                    f"resource {r} is above the threshold but hosts a "
+                    f"multi-resource player; transform the game first"
+                )
+    children = {}
+    for x in sorted(v1):
+        ys = [int(y) for pid in tsg.singles_on(x)
+              for y in tsg.players[pid].opt_strategy if y != x]
+        children[x] = tuple(sorted(ys))
     return ResourceGraph(
         congestion=congestion,
         degree=tsg.degree,
         threshold=tsg.threshold,
         opt_cap=max(1, tsg.tracked_opt_bottleneck()),
-        children={x: tuple(sorted(ys)) for x, ys in children.items()},
+        children=children,
         v1=v1,
     )
 

@@ -226,11 +226,14 @@ def game_from_dict(data: Any) -> Game:
 
 def load_game(source: str | IO[str]) -> Game:
     """Load a game from a JSON file path or open text stream."""
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = source.read()
+    try:
+        if isinstance(source, str):
+            with open(source, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        else:
+            text = source.read()
+    except UnicodeDecodeError as exc:
+        raise GameFormatError(f"game file is not UTF-8 text: {exc}") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -19,6 +19,7 @@ Terminology used here:
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -90,6 +91,10 @@ class TwoStrategyGame:
         self.trace = trace
         self._next_id = 0
         self._eq_cong = [0] * num_resources  # plain ints: every cost term reads them
+        # Who plays where, kept by add_player and remove_player, the only
+        # places where an equilibrium strategy enters or leaves the roster.
+        self._singles: dict[int, set[int]] = {}  # resource -> its singleton players
+        self._multis: set[int] = set()
 
     # -- roster -------------------------------------------------------------
 
@@ -108,16 +113,32 @@ class TwoStrategyGame:
         self.players[pid] = player
         for r in player.eq_strategy:
             self._eq_cong[r] += 1
+        if player.is_singleton:
+            self._singles.setdefault(player.eq_strategy[0], set()).add(pid)
+        else:
+            self._multis.add(pid)
         return pid
 
     def remove_player(self, pid: int) -> TwoStrategyPlayer:
         player = self.players.pop(pid)
         for r in player.eq_strategy:
             self._eq_cong[r] -= 1
+        if player.is_singleton:
+            self._singles[player.eq_strategy[0]].discard(pid)
+        else:
+            self._multis.discard(pid)
         return player
 
     def player_ids(self) -> list[int]:
         return sorted(self.players)
+
+    def singles_on(self, r: int) -> list[int]:
+        """Ids of the singleton players on resource r, ascending."""
+        return sorted(self._singles.get(r, ()))
+
+    def multi_ids(self) -> list[int]:
+        """Ids of the multi players, ascending."""
+        return sorted(self._multis)
 
     def record(self, op: str, **details: Any) -> None:
         if self.trace is not None:
@@ -238,12 +259,10 @@ def clean_game(tsg: TwoStrategyGame) -> TwoStrategyGame:
     sitting above the congestion threshold are then pruned of redundant
     resources.
     """
-    before_eq = tsg.eq_congestion()
+    before_eq = list(tsg._eq_cong)
     before_opt = tsg.opt_congestion()
-    for pid in tsg.player_ids():
+    for pid in tsg.multi_ids():
         player = tsg.players[pid]
-        if player.is_singleton:
-            continue
         overlap = sorted(set(player.eq_strategy) & set(player.opt_strategy))
         if not overlap:
             continue
@@ -265,11 +284,10 @@ def clean_game(tsg: TwoStrategyGame) -> TwoStrategyGame:
     # graph analysis).  A tracked resource goes while the rest still cover
     # the player's cost.  Each removal only lowers the running deviation
     # total, so a resource refused once stays refused: one pass suffices.
-    for pid in tsg.player_ids():
+    for pid in sorted(qid for r, ids in tsg._singles.items()
+                      if tsg._eq_cong[r] > tsg.threshold for qid in ids):
         player = tsg.players[pid]
-        if not player.is_singleton or len(player.opt_strategy) < 2:
-            continue
-        if tsg._eq_cong[player.eq_strategy[0]] <= tsg.threshold:
+        if len(player.opt_strategy) < 2:
             continue
         cost = tsg.cost(pid)
         total = tsg.deviation(pid)
@@ -282,15 +300,15 @@ def clean_game(tsg: TwoStrategyGame) -> TwoStrategyGame:
                 player.opt_strategy = tuple(x for x in player.opt_strategy if x != r)
                 tsg.record("prune", player=pid, removed=r)
 
-    if not np.array_equal(tsg.eq_congestion(), before_eq):
+    if tsg._eq_cong != before_eq:
         raise StructuralError("cleaning changed the equilibrium congestion", state=tsg.to_dict())
     # Splitting preserves tracked congestion; pruning may only lower it.
     if bool(np.any(tsg.opt_congestion() > before_opt)):
         raise StructuralError("cleaning raised a tracked congestion", state=tsg.to_dict())
     tsg.check_equilibrium()
-    for pid in tsg.player_ids():
+    for pid in tsg.multi_ids():
         p = tsg.players[pid]
-        if not p.is_singleton and set(p.eq_strategy) & set(p.opt_strategy):
+        if set(p.eq_strategy) & set(p.opt_strategy):
             raise StructuralError(
                 f"multi player {pid} still overlaps its tracked strategy", state=tsg.to_dict()
             )
@@ -403,12 +421,12 @@ def split_player(tsg: TwoStrategyGame, pid: int) -> list[int]:
     # A multi sub-player may cost at most joining its most congested tracked resource.
     dearest = max(player.opt_strategy, key=lambda r: tsg._eq_cong[r])
     cap = switch_cost(tsg._eq_cong, (), (dearest,), tsg.degree)
-    before_eq = tsg.eq_congestion()
+    before_eq = list(tsg._eq_cong)
     tsg.remove_player(pid)
     new_ids = [tsg.add_player(p.eq_part, p.opt_part) for p in pairs]
     tsg.record("split", player=pid, new_ids=new_ids,
                pairs=[[list(p.eq_part), list(p.opt_part)] for p in pairs])
-    if not np.array_equal(tsg.eq_congestion(), before_eq):
+    if tsg._eq_cong != before_eq:
         raise StructuralError(
             f"splitting player {pid} changed the equilibrium congestion", state=tsg.to_dict()
         )
@@ -445,11 +463,7 @@ def eliminate_high_congestion(tsg: TwoStrategyGame, level: int, pid: int) -> Non
     player = tsg.players[pid]
     while len(player.opt_strategy) == 1 and tsg._eq_cong[player.opt_strategy[0]] > level:
         x = player.opt_strategy[0]
-        hosts = [
-            qid
-            for qid, q in tsg.players.items()
-            if qid != pid and q.is_singleton and q.eq_strategy[0] == x
-        ]
+        hosts = [qid for qid in tsg.singles_on(x) if qid != pid]
         if not hosts:
             raise StructuralError(
                 f"no singleton player available on over-congested resource {x}",
@@ -496,16 +510,11 @@ def eliminate_high_congestion(tsg: TwoStrategyGame, level: int, pid: int) -> Non
             )
 
 
-def _band(tsg: TwoStrategyGame, level: int) -> list[int]:
-    low = delay(level, tsg.degree)
-    high = delay(level + 1, tsg.degree)
-    out = [
-        pid
-        for pid in tsg.player_ids()
-        if not tsg.players[pid].is_singleton and low < tsg.cost(pid) <= high
-    ]
-    out.sort(key=lambda pid: (-tsg.cost(pid), pid))
-    return out
+def _multis_costing(tsg: TwoStrategyGame, low: int, high: float = math.inf) -> list[int]:
+    """Multi players with cost in (low, high], dearest first."""
+    costs = {pid: tsg.cost(pid) for pid in tsg.multi_ids()}
+    return sorted((pid for pid, c in costs.items() if low < c <= high),
+                  key=lambda pid: (-costs[pid], pid))
 
 
 def run_phase(tsg: TwoStrategyGame, level: int) -> PhaseState:
@@ -514,10 +523,8 @@ def run_phase(tsg: TwoStrategyGame, level: int) -> PhaseState:
     level_cost = delay(level, tsg.degree)
     upper_cost = delay(level + 1, tsg.degree)
 
-    for pid in tsg.player_ids():
+    for pid in tsg.multi_ids():
         p = tsg.players[pid]
-        if p.is_singleton:
-            continue
         if tsg.cost(pid) > upper_cost:
             raise StructuralError(
                 f"multi player {pid} above the band at level {level}", state=tsg.to_dict()
@@ -528,13 +535,13 @@ def run_phase(tsg: TwoStrategyGame, level: int) -> PhaseState:
                     f"multi player {pid} plays over-congested resource {r}", state=tsg.to_dict()
                 )
 
-    for pid in _band(tsg, level):
+    for pid in _multis_costing(tsg, level_cost, upper_cost):
         split_player(tsg, pid)
         phase.splits += 1
 
     # Survivors of the band now track exactly one resource, congested at
     # least to the level.
-    survivors = _band(tsg, level)
+    survivors = _multis_costing(tsg, level_cost, upper_cost)
     for pid in survivors:
         opt = tsg.players[pid].opt_strategy
         if len(opt) != 1 or tsg._eq_cong[opt[0]] < level:
@@ -543,50 +550,39 @@ def run_phase(tsg: TwoStrategyGame, level: int) -> PhaseState:
                 f"or above", state=tsg.to_dict()
             )
 
-    qualified = list(survivors)
-    for pid in tsg.player_ids():
-        p = tsg.players[pid]
-        if p.is_singleton and len(p.opt_strategy) == 1 and tsg.cost(pid) == level_cost:
-            qualified.append(pid)
-    qualified = sorted(set(qualified))
+    # A singleton player costs level**degree exactly when its resource sits
+    # at the level.
+    qualified = sorted(survivors + [
+        pid
+        for r, ids in tsg._singles.items() if tsg._eq_cong[r] == level
+        for pid in ids if len(tsg.players[pid].opt_strategy) == 1
+    ])
 
     for pid in qualified:
         eliminate_high_congestion(tsg, level, pid)
 
-    def classify(pid: int) -> str:
-        p = tsg.players[pid]
-        if len(p.opt_strategy) == 1:
-            if tsg._eq_cong[p.opt_strategy[0]] == level:
-                return "locked"
-            return "other"
-        max_c = max(tsg._eq_cong[r] for r in p.opt_strategy)
-        mass = switch_cost(tsg._eq_cong, (), p.opt_strategy, tsg.degree)
-        if max_c <= level - 1 and mass >= upper_cost:
-            return "spread"
-        return "other"
-
     spread: list[int] = []  # wide low-congestion tracked sets
     locked: list[int] = []  # tracked to one level resource
-    for pid in qualified:
-        kind = classify(pid)
-        if kind == "spread":
-            spread.append(pid)
-        elif kind == "locked":
+    for pid in sorted(survivors):
+        opt = tsg.players[pid].opt_strategy
+        if len(opt) == 1 and tsg._eq_cong[opt[0]] == level:
             locked.append(pid)
-        elif not tsg.players[pid].is_singleton:
+        elif (len(opt) > 1 and max(tsg._eq_cong[r] for r in opt) <= level - 1
+              and switch_cost(tsg._eq_cong, (), opt, tsg.degree) >= upper_cost):
+            spread.append(pid)
+        else:
             raise StructuralError(
                 f"multi player {pid} fits neither phase bucket", state=tsg.to_dict()
             )
 
     for pid in spread:
-        if not tsg.players[pid].is_singleton:
-            split_player(tsg, pid)
-            phase.splits += 1
+        split_player(tsg, pid)
+        phase.splits += 1
 
     _resolve_locked(tsg, phase, locked)
 
-    for pid in tsg.player_ids():
-        if not tsg.players[pid].is_singleton and tsg.cost(pid) > level_cost:
+    for pid in tsg.multi_ids():
+        if tsg.cost(pid) > level_cost:
             raise StructuralError(
                 f"multi player {pid} still above level {level}", state=tsg.to_dict()
             )
@@ -606,16 +602,12 @@ def _resolve_locked(tsg: TwoStrategyGame, phase: PhaseState, locked: list[int]) 
     """
     level = phase.level
     level_cost = delay(level, tsg.degree)
-    singles_on = {}
-    for qid in tsg.player_ids():
-        q = tsg.players[qid]
-        if q.is_singleton and tsg._eq_cong[q.eq_strategy[0]] == level:
-            singles_on.setdefault(q.eq_strategy[0], []).append(qid)
+    singles = {r: len(ids) for r, ids in tsg._singles.items() if ids and tsg._eq_cong[r] == level}
     num_level_resources = tsg._eq_cong.count(level)
     # Round-robin donor order, and the position the next search starts at.
-    order = tuple(sorted(singles_on, key=lambda r: (len(singles_on[r]), r)))
+    order = tuple(sorted(singles, key=lambda r: (singles[r], r)))
     cursor = 0
-    queue = deque(pid for pid in locked if not tsg.players[pid].is_singleton)
+    queue = deque(locked)
     mark_budget = 4 * max(1, tsg.opt_bottleneck) * max(1, num_level_resources) + 64
 
     while queue:
@@ -671,16 +663,10 @@ def _pick_donor(
     for step in range(len(order)):
         position = (cursor + step) % len(order)
         resource = order[position]
-        candidates = [
-            qid
-            for qid, q in tsg.players.items()
-            if q.is_singleton
-            and not q.marked
-            and q.eq_strategy[0] == resource
-            and not set(q.opt_strategy) & avoid
-        ]
-        if candidates:
-            return min(candidates), resource, position
+        for qid in tsg.singles_on(resource):
+            q = tsg.players[qid]
+            if not q.marked and not set(q.opt_strategy) & avoid:
+                return qid, resource, position
     return None
 
 
@@ -706,30 +692,20 @@ def transform_to_singletons(
         tsg.record("no_op", reason="bottleneck at or below threshold")
         return tsg
 
-    before_eq = tsg.eq_congestion()
-    top_cost = delay(tsg.eq_bottleneck + 1, tsg.degree)
-    heavy = [
-        pid
-        for pid in tsg.player_ids()
-        if not tsg.players[pid].is_singleton and tsg.cost(pid) > top_cost
-    ]
-    heavy.sort(key=lambda pid: (-tsg.cost(pid), pid))
-    for pid in heavy:
+    before_eq = list(tsg._eq_cong)
+    for pid in _multis_costing(tsg, delay(tsg.eq_bottleneck + 1, tsg.degree)):
         split_player(tsg, pid)
 
     for level in range(tsg.eq_bottleneck, tsg.threshold, -1):
         run_phase(tsg, level)
 
-    if not np.array_equal(tsg.eq_congestion(), before_eq):
+    if tsg._eq_cong != before_eq:
         raise StructuralError(
             "the transformation changed the equilibrium congestion", state=tsg.to_dict()
         )
     tsg.check_equilibrium()
-    for pid in tsg.player_ids():
-        p = tsg.players[pid]
-        if p.is_singleton:
-            continue
-        for r in p.eq_strategy:
+    for pid in tsg.multi_ids():
+        for r in tsg.players[pid].eq_strategy:
             if tsg._eq_cong[r] > tsg.threshold:
                 raise StructuralError(
                     f"multi player {pid} left on over-congested resource {r}",

@@ -83,6 +83,12 @@ class TestAnalyze:
         rc = main(["analyze", str(tmp_path / "nonexistent.json")])
         assert_usage_error(rc, capsys.readouterr().err)
 
+    @pytest.mark.parametrize("command", ["analyze", "transform", "expansion"])
+    def test_non_utf8_file_is_format_error(self, command, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe")
+        assert_usage_error(main([command, str(path)]), capsys.readouterr().err)
+
     def test_calls_in_one_process_match_fresh_processes(self, family_file, capsys):
         # One parser serves every call in a process; no call may leak into the next.
         calls = [["analyze"], ["analyze", family_file], ["analyze"]]

@@ -29,6 +29,7 @@ CASES = {
     "transform_forced_d2": ["transform", "@forced_d2.json", "--trace"],
     "transform_slack_hub_d2": ["transform", "@slack_hub_d2.json", "--trace"],
     "transform_tight12": ["transform", "@tight12.json", "--trace"],
+    "transform_forced_mark_d1": ["transform", "@forced_mark_d1.json", "--trace"],
     "expansion_tight6": ["expansion", "@tight6.json"],
     "expansion_tight6_first": ["expansion", "@tight6.json", "--transform-first"],
     "expansion_forced_d1": ["expansion", "@forced_d1.json"],
@@ -60,7 +61,7 @@ def regenerate() -> None:
     import numpy as np
 
     from polybottleneck import generators, lower_bound
-    from polybottleneck.game_core import save_game
+    from polybottleneck.game_core import Game, save_game
     from test_transform import slack_hub_game
 
     GOLDEN.mkdir(exist_ok=True)
@@ -69,6 +70,18 @@ def regenerate() -> None:
     for degree, seed in ((1, 2), (2, 20)):
         game, _, _ = generators.forced_congestion_game(np.random.default_rng(seed), degree)
         save_game(game, str(GOLDEN / f"forced_d{degree}.json"))
+    # The CLI transforms the lowest-index worst equilibrium and optimum, which
+    # leave the pinned multi player tracked to its own strategy.  Listing the
+    # second hub's players after the others and the pinned player last, with
+    # its strategies swapped, makes both tie-breaks pick the generator's
+    # states, so the trace reaches ``mark``.
+    game, _, _ = generators.forced_congestion_game(np.random.default_rng(2), 1)
+    (pinned,) = [i for i, s in enumerate(game.strategies) if len(s[1]) == 1 < len(s[0])]
+    on_hub2 = [i for i in range(pinned) if game.strategies[i][0] == game.strategies[pinned][1]]
+    order = [i for i in range(pinned) if i not in on_hub2] + on_hub2
+    strategies = tuple(game.strategies[i] for i in order) + (game.strategies[pinned][::-1],)
+    game = Game(game.num_resources, game.degree, strategies)
+    save_game(game, str(GOLDEN / "forced_mark_d1.json"))
     # Hub players whose detours have slack: the trace reaches ``prune``.
     game, _, _ = slack_hub_game(np.random.default_rng(6), 2)
     save_game(game, str(GOLDEN / "slack_hub_d2.json"))

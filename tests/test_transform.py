@@ -323,6 +323,44 @@ class TestEliminate:
         assert np.array_equal(tsg.eq_congestion(), eq_before)
 
 
+def assert_index_matches_roster(tsg):
+    """The singleton and multi indexes equal a recount from the players."""
+    singles, multis = {}, set()
+    for pid, p in tsg.players.items():
+        if p.is_singleton:
+            singles.setdefault(p.eq_strategy[0], set()).add(pid)
+        else:
+            multis.add(pid)
+    assert {r: ids for r, ids in tsg._singles.items() if ids} == singles
+    assert tsg._multis == multis
+
+
+class TestRosterIndex:
+    @pytest.fixture(autouse=True)
+    def check_after_every_record(self, monkeypatch):
+        record = TwoStrategyGame.record
+        self.ops = []
+
+        def checked(tsg, op, **details):
+            record(tsg, op, **details)
+            assert_index_matches_roster(tsg)
+            self.ops.append(op)
+
+        monkeypatch.setattr(TwoStrategyGame, "record", checked)
+
+    def test_transforms_keep_the_index(self):
+        for game, s_eq, s_opt in pruning_cases():
+            assert_index_matches_roster(transform_to_singletons(game, s_eq, s_opt))
+        for op in ("clean_split", "prune", "split", "mark", "phase"):
+            assert op in self.ops
+
+    def test_eliminate_workspace_keeps_the_index(self):
+        tsg, _, mover = TestEliminate()._manual_tsg()
+        assert_index_matches_roster(tsg)
+        eliminate_high_congestion(tsg, 3, mover)
+        assert self.ops == ["eliminate"]
+
+
 class TestRunPhase:
     def test_phase_with_empty_band_is_noop(self):
         game = Game.build(3, 1, [[[0]], [[1]], [[2]]])
