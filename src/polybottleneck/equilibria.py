@@ -18,7 +18,6 @@ from .errors import NonConvergenceError, StateSpaceTooLargeError, StructuralErro
 from .game_core import (
     Game,
     Profile,
-    bottleneck,
     congestion_of,
     power_table,
     switch_cost,
@@ -87,13 +86,22 @@ def rosenthal_potential(game: Game, profile: Sequence[int]) -> int:
     """Exact potential: sum over resources of 1**M + 2**M + ... + C_r**M.
 
     Any unilateral strategy change moves the potential by exactly the mover's
-    cost change, so strict greedy moves strictly decrease it.  Congestion is
-    recounted from the profile; ``prefix[c]`` holds 1**M + ... + c**M.
+    cost change, so strict greedy moves strictly decrease it.
     """
-    counts = congestion_of(game, profile)
-    top = bottleneck(counts)
+    return _potential(game, validate_profile(game, profile))
+
+
+def _potential(game: Game, profile: Sequence[int]) -> int:
+    """``rosenthal_potential`` of a profile already known to be valid.
+    Congestion is recounted from the strategies; ``prefix[c]`` holds
+    1**M + ... + c**M."""
+    counts = [0] * game.num_resources
+    for player, choice in enumerate(profile):
+        for r in game.strategies[player][choice]:
+            counts[r] += 1
+    top = max(counts)
     prefix = list(accumulate(power_table(game.degree, top)[:top + 1]))
-    return sum(prefix[c] for c in counts.tolist())
+    return sum(prefix[c] for c in counts)
 
 
 def best_response_dynamics(
@@ -109,7 +117,7 @@ def best_response_dynamics(
     """
     profile = list(validate_profile(game, start))
     counts = congestion_of(game, profile).tolist()  # kept in step with every move
-    start_potential = rosenthal_potential(game, profile)
+    start_potential = _potential(game, profile)
     budget = max_steps if max_steps is not None else start_potential + 1
     moves = 0
     potential = start_potential
@@ -132,8 +140,8 @@ def best_response_dynamics(
             for r in game.chosen(profile, player):
                 counts[r] += 1
             moves += 1
-            # Recomputed from scratch, so drift in ``counts`` shows up here too.
-            new_potential = rosenthal_potential(game, profile)
+            # Recounted from the strategies, so drift in ``counts`` shows up here too.
+            new_potential = _potential(game, profile)
             if potential - new_potential != cur - best_cost:
                 raise StructuralError(
                     f"potential fell {potential} -> {new_potential} but the mover's "

@@ -24,20 +24,29 @@ Profile = tuple[int, ...]
 CongestionVector = np.ndarray
 
 
-def _normalize_strategy(raw: Iterable[int], num_resources: int, where: str) -> tuple[int, ...]:
+def _normalize_strategy(
+    raw: Iterable[int], num_resources: int, player: int, index: int
+) -> tuple[int, ...]:
+    """Strategy ``index`` of ``player`` as a sorted tuple of plain ints.  Each
+    id is checked for type, then range; duplicates last.  The error location
+    is only formatted when an error is raised."""
+    def error(problem: str) -> GameFormatError:
+        return GameFormatError(f"player {player} strategy {index}: {problem}")
+
     resources = list(raw)
     if not resources:
-        raise GameFormatError(f"{where}: empty strategy")
+        raise error("empty strategy")
+    plain = True
     for r in resources:
-        if not isinstance(r, (int, np.integer)) or isinstance(r, bool):
-            raise GameFormatError(f"{where}: resource id {r!r} is not an integer")
-        if r < 0 or r >= num_resources:
-            raise GameFormatError(
-                f"{where}: resource id {r} out of range [0, {num_resources})"
-            )
+        if type(r) is not int:
+            if not isinstance(r, (int, np.integer)) or isinstance(r, bool):
+                raise error(f"resource id {r!r} is not an integer")
+            plain = False
+        if not 0 <= r < num_resources:
+            raise error(f"resource id {r} out of range [0, {num_resources})")
     if len(set(resources)) != len(resources):
-        raise GameFormatError(f"{where}: duplicate resource in strategy {sorted(resources)}")
-    return tuple(sorted(int(r) for r in resources))
+        raise error(f"duplicate resource in strategy {sorted(resources)}")
+    return tuple(sorted(resources if plain else map(int, resources)))
 
 
 @dataclass(frozen=True)
@@ -70,7 +79,7 @@ class Game:
         """Validate and normalize raw nested lists into a Game."""
         normalized = tuple(
             tuple(
-                _normalize_strategy(strategy, num_resources, f"player {i} strategy {s}")
+                _normalize_strategy(strategy, num_resources, i, s)
                 for s, strategy in enumerate(strat_set)
             )
             for i, strat_set in enumerate(players)
@@ -167,11 +176,13 @@ def switch_cost(
     included, which must not index from the end) goes through it first.
     """
     table = _POWERS.get(degree) or power_table(degree, 0)
+    size = len(table)
     total = 0
     for r in target:
         c = counts[r] + (r not in current)
-        if not 0 <= c < len(table):
+        if not 0 <= c < size:
             table = power_table(degree, c)
+            size = len(table)
         total += table[c]
     return total
 

@@ -20,7 +20,7 @@ Terminology used here:
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterable, Sequence
@@ -95,6 +95,12 @@ class TwoStrategyGame:
         # places where an equilibrium strategy enters or leaves the roster.
         self._singles: dict[int, set[int]] = {}  # resource -> its singleton players
         self._multis: set[int] = set()
+        # congestion -> number of resources at it
+        self._resources_at: defaultdict[int, int] = defaultdict(int, {0: num_resources})
+        # Since the last check: players added or retracked, and the net change
+        # of each equilibrium congestion that was touched.
+        self._dirty: set[int] = set()
+        self._eq_moves: defaultdict[int, int] = defaultdict(int)
 
     # -- roster -------------------------------------------------------------
 
@@ -111,23 +117,37 @@ class TwoStrategyGame:
         if not player.eq_strategy:
             raise StructuralError("refusing to add a player with an empty equilibrium strategy")
         self.players[pid] = player
-        for r in player.eq_strategy:
-            self._eq_cong[r] += 1
+        self._move_eq(player.eq_strategy, 1)
         if player.is_singleton:
             self._singles.setdefault(player.eq_strategy[0], set()).add(pid)
         else:
             self._multis.add(pid)
+        self._dirty.add(pid)
         return pid
 
     def remove_player(self, pid: int) -> TwoStrategyPlayer:
         player = self.players.pop(pid)
-        for r in player.eq_strategy:
-            self._eq_cong[r] -= 1
+        self._move_eq(player.eq_strategy, -1)
         if player.is_singleton:
             self._singles[player.eq_strategy[0]].discard(pid)
         else:
             self._multis.discard(pid)
+        self._dirty.discard(pid)
         return player
+
+    def _move_eq(self, strategy: tuple[int, ...], step: int) -> None:
+        cong, at, moves = self._eq_cong, self._resources_at, self._eq_moves
+        for r in strategy:
+            c = cong[r]
+            at[c] -= 1
+            at[c + step] += 1
+            cong[r] = c + step
+            moves[r] += step
+
+    def retrack(self, pid: int, strategy: Iterable[int]) -> None:
+        """Give a player a new tracked strategy; the only way to change one."""
+        self.players[pid].opt_strategy = tuple(sorted(strategy))
+        self._dirty.add(pid)
 
     def player_ids(self) -> list[int]:
         return sorted(self.players)
@@ -175,13 +195,29 @@ class TwoStrategyGame:
         dev = self.deviation(pid)
         return dev is None or self.cost(pid) <= dev
 
-    def check_equilibrium(self) -> None:
-        for pid in self.player_ids():
+    def check_equilibrium(self, full: bool = False) -> None:
+        """Raise on the lowest-id player that is not in equilibrium.
+
+        By default only the players added or retracked since the last check
+        are recomputed: every other one was stable then, at the same
+        equilibrium congestion, with the same strategies.  If any congestion
+        moved since (net, over the resources touched), or ``full`` is set,
+        every player is recomputed.
+        """
+        moved = any(self._eq_moves.values())
+        for pid in sorted(self.players if full or moved else self._dirty):
             if not self.in_equilibrium(pid):
                 raise StructuralError(
                     f"player {pid} is no longer in equilibrium",
                     state=self.to_dict(),
                 )
+        self._settle()
+
+    def _settle(self) -> None:
+        """Declare every player stable at the current equilibrium congestion
+        (the caller has just proven it)."""
+        self._dirty.clear()
+        self._eq_moves.clear()
 
     # -- views ----------------------------------------------------------------
 
@@ -244,6 +280,7 @@ def init_two_strategy(
     )
     for i in range(game.num_players):
         tsg.add_player(game.chosen(nash_profile, i), game.chosen(optimal_profile, i))
+    tsg._settle()  # is_nash above checked every player against both strategies
     tsg.record("init", players=game.num_players, eq_bottleneck=eq_c,
                opt_bottleneck=opt_c, threshold=threshold)
     return tsg
@@ -275,8 +312,8 @@ def clean_game(tsg: TwoStrategyGame) -> TwoStrategyGame:
         elif rest_opt:
             # Everything the player used is shared; hand the leftover tracked
             # resources to the first split so no tracked membership is lost.
-            first = tsg.players[split_ids[0]]
-            first.opt_strategy = tuple(sorted(set(first.opt_strategy) | set(rest_opt)))
+            first = split_ids[0]
+            tsg.retrack(first, set(tsg.players[first].opt_strategy) | set(rest_opt))
         tsg.record("clean_split", player=pid, overlap=overlap)
 
     # Redundancy pruning, low congestion first, for singleton players on
@@ -297,7 +334,7 @@ def clean_game(tsg: TwoStrategyGame) -> TwoStrategyGame:
             term = switch_cost(tsg._eq_cong, player.eq_strategy, (r,), tsg.degree)
             if cost <= total - term:
                 total -= term
-                player.opt_strategy = tuple(x for x in player.opt_strategy if x != r)
+                tsg.retrack(pid, (x for x in player.opt_strategy if x != r))
                 tsg.record("prune", player=pid, removed=r)
 
     if tsg._eq_cong != before_eq:
@@ -498,8 +535,8 @@ def eliminate_high_congestion(tsg: TwoStrategyGame, level: int, pid: int) -> Non
             )
         qid, fset = chosen
         before_opt = tsg.opt_congestion()
-        player.opt_strategy = tuple(sorted(fset))
-        tsg.players[qid].opt_strategy = (x,)
+        tsg.retrack(pid, fset)
+        tsg.retrack(qid, (x,))
         tsg.record("eliminate", player=pid, donor=qid, resource=x, new_opt=list(fset))
         after_opt = tsg.opt_congestion()
         # Rewiring may only release tracked load, never add to it.
@@ -603,7 +640,7 @@ def _resolve_locked(tsg: TwoStrategyGame, phase: PhaseState, locked: list[int]) 
     level = phase.level
     level_cost = delay(level, tsg.degree)
     singles = {r: len(ids) for r, ids in tsg._singles.items() if ids and tsg._eq_cong[r] == level}
-    num_level_resources = tsg._eq_cong.count(level)
+    num_level_resources = tsg._resources_at[level]
     # Round-robin donor order, and the position the next search starts at.
     order = tuple(sorted(singles, key=lambda r: (singles[r], r)))
     cursor = 0
@@ -625,8 +662,7 @@ def _resolve_locked(tsg: TwoStrategyGame, phase: PhaseState, locked: list[int]) 
             )
         qid, resource, position = donor_pick
         donor = tsg.players[qid]
-        merged = sorted(set(donor.opt_strategy) | set(player.opt_strategy))
-        player.opt_strategy = tuple(merged)
+        tsg.retrack(pid, set(donor.opt_strategy) | set(player.opt_strategy))
         if not tsg.in_equilibrium(pid):
             raise StructuralError(
                 f"merged tracked strategy broke equilibrium of {pid}",
@@ -634,7 +670,7 @@ def _resolve_locked(tsg: TwoStrategyGame, phase: PhaseState, locked: list[int]) 
             )
         new_ids = split_player(tsg, pid)
         phase.splits += 1
-        donor.opt_strategy = (resource,)
+        tsg.retrack(qid, (resource,))
         donor.marked = True
         phase.markings += 1
         cursor = (position + 1) % len(order)
@@ -703,7 +739,7 @@ def transform_to_singletons(
         raise StructuralError(
             "the transformation changed the equilibrium congestion", state=tsg.to_dict()
         )
-    tsg.check_equilibrium()
+    tsg.check_equilibrium(full=True)
     for pid in tsg.multi_ids():
         for r in tsg.players[pid].eq_strategy:
             if tsg._eq_cong[r] > tsg.threshold:

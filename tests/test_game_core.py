@@ -248,7 +248,56 @@ class TestProperties:
                     )
 
 
+def reference_normalize(raw, num_resources, where):
+    """Strategy validation as it was before the error location became lazy."""
+    resources = list(raw)
+    if not resources:
+        raise GameFormatError(f"{where}: empty strategy")
+    for r in resources:
+        if not isinstance(r, (int, np.integer)) or isinstance(r, bool):
+            raise GameFormatError(f"{where}: resource id {r!r} is not an integer")
+        if r < 0 or r >= num_resources:
+            raise GameFormatError(
+                f"{where}: resource id {r} out of range [0, {num_resources})"
+            )
+    if len(set(resources)) != len(resources):
+        raise GameFormatError(f"{where}: duplicate resource in strategy {sorted(resources)}")
+    return tuple(sorted(int(r) for r in resources))
+
+
+def raw_resource_ids(num_resources):
+    """Mostly valid ids, plain or numpy, with bools, floats, negatives and
+    out-of-range ids mixed in."""
+    valid = st.integers(0, num_resources - 1)
+    ids = st.integers(-2, num_resources + 1)
+    return st.one_of(valid, valid.map(np.int64), valid, ids, ids.map(np.int64),
+                     st.booleans(), st.floats(-2, num_resources + 1))
+
+
 class TestGameFormat:
+    @settings(max_examples=500, deadline=None)
+    @given(data=st.data())
+    def test_build_matches_reference_validation(self, data):
+        # One drawn strategy, as strategy s of player i; every other one is valid.
+        z = data.draw(st.integers(1, 5))
+        raw = data.draw(st.lists(raw_resource_ids(z), max_size=4))
+        i, s = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
+        players = [[[0]]] * i + [[[0]] * s + [raw]]
+        try:
+            expected = tuple(
+                tuple(reference_normalize(strategy, z, f"player {i} strategy {s}")
+                      for s, strategy in enumerate(strat_set))
+                for i, strat_set in enumerate(players)
+            )
+        except GameFormatError as exc:
+            with pytest.raises(GameFormatError) as caught:
+                Game.build(z, 1, players)
+            assert str(caught.value) == str(exc)
+        else:
+            built = Game.build(z, 1, players).strategies
+            assert built == expected
+            assert all(type(r) is int for strat_set in built for s in strat_set for r in s)
+
     def test_round_trip(self, tmp_path):
         game = Game.build(4, 2, [[[0, 1], [2]], [[3], [1, 2]]])
         path = str(tmp_path / "game.json")

@@ -1,10 +1,14 @@
+import ast
+import copy
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polybottleneck
 from polybottleneck import equilibria, generators, lower_bound
 from polybottleneck.errors import DominationError, PreconditionError, StructuralError
 from polybottleneck.game_core import Game, bottleneck, congestion_of
@@ -20,7 +24,7 @@ from polybottleneck.transform import (
     verify_domination,
 )
 
-from conftest import oracle_is_nash
+from conftest import oracle_is_nash, oracle_power
 
 
 def family_tsg(n=4, degree=1):
@@ -335,18 +339,63 @@ def assert_index_matches_roster(tsg):
     assert tsg._multis == multis
 
 
+def strategies_of(tsg):
+    return {pid: (p.eq_strategy, p.opt_strategy) for pid, p in tsg.players.items()}
+
+
+def stable_from_scratch(tsg):
+    """Every player's stability, recomputed from the roster alone: neither the
+    workspace's congestion vector nor its cost rule is used."""
+    counts = [0] * tsg.num_resources
+    for p in tsg.players.values():
+        for r in p.eq_strategy:
+            counts[r] += 1
+
+    def paid(strategy, current):
+        return sum(oracle_power(counts[r] + (r not in current), tsg.degree) for r in strategy)
+
+    return all(
+        not p.opt_strategy
+        or paid(p.eq_strategy, p.eq_strategy) <= paid(p.opt_strategy, p.eq_strategy)
+        for p in tsg.players.values()
+    )
+
+
+def check_concludes_stable(tsg):
+    """What ``check_equilibrium`` would conclude now, without changing tsg."""
+    try:
+        copy.deepcopy(tsg).check_equilibrium()
+    except StructuralError:
+        return False
+    return True
+
+
 class TestRosterIndex:
     @pytest.fixture(autouse=True)
     def check_after_every_record(self, monkeypatch):
         record = TwoStrategyGame.record
+        check = TwoStrategyGame.check_equilibrium
         self.ops = []
+        self.settled = {}  # id(tsg) -> strategies at its last check
 
         def checked(tsg, op, **details):
             record(tsg, op, **details)
             assert_index_matches_roster(tsg)
+            if op == "init":  # init_two_strategy has just run is_nash
+                self.settled[id(tsg)] = strategies_of(tsg)
+            settled = self.settled.get(id(tsg), {})
+            changed = {pid for pid, both in strategies_of(tsg).items()
+                       if settled.get(pid) != both}
+            assert changed <= tsg._dirty, (op, changed - tsg._dirty)
+            assert stable_from_scratch(tsg) == check_concludes_stable(tsg), op
             self.ops.append(op)
 
+        def settling(tsg, *args, **kwargs):
+            check(tsg, *args, **kwargs)
+            self.settled[id(tsg)] = strategies_of(tsg)
+
         monkeypatch.setattr(TwoStrategyGame, "record", checked)
+        monkeypatch.setattr(TwoStrategyGame, "check_equilibrium", settling)
 
     def test_transforms_keep_the_index(self):
         for game, s_eq, s_opt in pruning_cases():
@@ -359,6 +408,91 @@ class TestRosterIndex:
         assert_index_matches_roster(tsg)
         eliminate_high_congestion(tsg, 3, mover)
         assert self.ops == ["eliminate"]
+
+
+class TestIncrementalCheck:
+    def _settled(self):
+        # Congestion 3, 1, 0 on resources 0, 1, 2.  Player c pays 3 and would
+        # pay 2 + 1 on its tracked pair: stable, with no slack.
+        tsg = TwoStrategyGame(num_resources=3, degree=1, threshold=1,
+                              eq_bottleneck=3, opt_bottleneck=1)
+        a = tsg.add_player([0], [0])
+        b = tsg.add_player([0], [0])
+        c = tsg.add_player([0], [1, 2])
+        d = tsg.add_player([1], [1])
+        tsg.check_equilibrium()
+        assert not tsg._dirty
+        self.rechecked = []
+        in_equilibrium = tsg.in_equilibrium
+
+        def counted(pid):
+            self.rechecked.append(pid)
+            return in_equilibrium(pid)
+
+        tsg.in_equilibrium = counted
+        return tsg, a, b, c, d
+
+    def test_only_retracked_players_are_rechecked(self):
+        tsg, a, b, _, _ = self._settled()
+        tsg.retrack(b, [1, 2])
+        tsg.check_equilibrium()
+        assert self.rechecked == [b]
+        tsg.check_equilibrium(full=True)
+        assert self.rechecked == [b] + tsg.player_ids()
+
+    def test_retracked_player_is_caught(self):
+        tsg, a, _, _, _ = self._settled()
+        tsg.retrack(a, [2])  # pays 3, would pay 1
+        with pytest.raises(StructuralError, match=f"player {a} "):
+            tsg.check_equilibrium()
+
+    def test_lowest_failing_player_is_reported(self):
+        tsg, a, b, _, _ = self._settled()
+        tsg.retrack(b, [2])
+        tsg.retrack(a, [2])
+        with pytest.raises(StructuralError, match=f"player {a} "):
+            tsg.check_equilibrium()
+
+    def test_moved_congestion_rechecks_everyone(self):
+        # Emptying resource 1 makes the clean player c prefer its tracked pair.
+        tsg, _, _, c, d = self._settled()
+        tsg.remove_player(d)
+        assert c not in tsg._dirty
+        with pytest.raises(StructuralError, match=f"player {c} "):
+            tsg.check_equilibrium()
+        assert sorted(self.rechecked) == tsg.player_ids()
+
+    def test_net_zero_moves_keep_the_check_incremental(self):
+        tsg, _, _, _, d = self._settled()
+        twin = tsg.remove_player(d)
+        new = tsg.add_player(twin.eq_strategy, twin.opt_strategy)
+        tsg.check_equilibrium()
+        assert self.rechecked == [new]
+
+
+def test_tracked_strategies_change_only_through_retrack():
+    # The incremental check trusts every player that was not retracked.
+    found = []
+    for path in sorted(Path(polybottleneck.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        inside = {
+            id(node)
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and cls.name == "TwoStrategyGame"
+            for node in ast.walk(cls)
+        }
+        for node in ast.walk(tree):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign))
+                       else [])
+            found += [
+                f"{path.name}:{node.lineno}"
+                for target in targets
+                for t in ast.walk(target)
+                if isinstance(t, ast.Attribute) and t.attr == "opt_strategy"
+                and id(node) not in inside
+            ]
+    assert not found, found
 
 
 class TestRunPhase:
