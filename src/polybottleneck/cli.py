@@ -87,6 +87,8 @@ def _suite_record(game: Game, index: int, rng: np.random.Generator, cap: int | N
 def cmd_suite(args: argparse.Namespace) -> int:
     if args.count < 1:
         raise UsageError(f"--count must be at least 1, got {args.count}")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be at least 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     records = []
     for i in range(args.count):

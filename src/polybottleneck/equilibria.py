@@ -18,7 +18,7 @@ from .errors import NonConvergenceError, StateSpaceTooLargeError, StructuralErro
 from .game_core import (
     Game,
     Profile,
-    congestion_of,
+    _congestion,
     power_table,
     switch_cost,
     validate_profile,
@@ -67,14 +67,18 @@ def _costs(game: Game, profile: Sequence[int], player: int, counts) -> list[int]
 def best_response(game: Game, profile: Sequence[int], player: int) -> int:
     """Index of a cost-minimizing strategy, others fixed; ties -> lowest index."""
     profile = validate_profile(game, profile)
-    costs = _costs(game, profile, player, congestion_of(game, profile).tolist())
+    costs = _costs(game, profile, player, _congestion(game, profile))
     return costs.index(min(costs))
 
 
 def is_nash(game: Game, profile: Sequence[int]) -> bool:
     """Weak equilibrium: no player has a strictly cheaper alternative."""
     profile = validate_profile(game, profile)
-    counts = congestion_of(game, profile).tolist()
+    return _is_nash(game, profile, _congestion(game, profile))
+
+
+def _is_nash(game: Game, profile: Profile, counts: Sequence[int]) -> bool:
+    """``is_nash`` of a valid profile whose congestion is ``counts``."""
     for i in range(game.num_players):
         costs = _costs(game, profile, i, counts)
         if min(costs) < costs[profile[i]]:
@@ -95,10 +99,7 @@ def _potential(game: Game, profile: Sequence[int]) -> int:
     """``rosenthal_potential`` of a profile already known to be valid.
     Congestion is recounted from the strategies; ``prefix[c]`` holds
     1**M + ... + c**M."""
-    counts = [0] * game.num_resources
-    for player, choice in enumerate(profile):
-        for r in game.strategies[player][choice]:
-            counts[r] += 1
+    counts = _congestion(game, profile)
     top = max(counts)
     prefix = list(accumulate(power_table(game.degree, top)[:top + 1]))
     return sum(prefix[c] for c in counts)
@@ -116,7 +117,7 @@ def best_response_dynamics(
     ``rosenthal_potential(game, start)`` moves.
     """
     profile = list(validate_profile(game, start))
-    counts = congestion_of(game, profile).tolist()  # kept in step with every move
+    counts = _congestion(game, profile)  # kept in step with every move
     start_potential = _potential(game, profile)
     budget = max_steps if max_steps is not None else start_potential + 1
     moves = 0

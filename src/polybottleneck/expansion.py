@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
-import numpy as np
-
 from .errors import PreconditionError
 from .game_core import power_table
 from .transform import TwoStrategyGame
@@ -32,7 +30,7 @@ class ResourceGraph:
     often one child may be counted.
     """
 
-    congestion: np.ndarray
+    congestion: tuple[int, ...]
     degree: int
     threshold: int
     opt_cap: int
@@ -52,8 +50,8 @@ def build_resource_graph(tsg: TwoStrategyGame) -> ResourceGraph:
     optimal bottleneck (no resource sits in more tracked strategies than
     that).
     """
-    congestion = tsg.eq_congestion()
-    v1 = frozenset(int(r) for r in np.nonzero(congestion > tsg.threshold)[0])
+    congestion = tuple(tsg.eq_congestion())
+    v1 = frozenset(r for r, c in enumerate(congestion) if c > tsg.threshold)
     for pid in tsg.multi_ids():
         for r in tsg.players[pid].eq_strategy:
             if r in v1:
@@ -63,7 +61,7 @@ def build_resource_graph(tsg: TwoStrategyGame) -> ResourceGraph:
                 )
     children = {}
     for x in sorted(v1):
-        ys = [int(y) for pid in tsg.singles_on(x)
+        ys = [y for pid in tsg.singles_on(x)
               for y in tsg.players[pid].opt_strategy if y != x]
         children[x] = tuple(sorted(ys))
     return ResourceGraph(
@@ -87,8 +85,8 @@ def check_expansion(rg: ResourceGraph, x: int) -> tuple[int, Fraction, bool]:
     """
     if x not in rg.v1:
         raise PreconditionError(f"resource {x} is not above the threshold")
-    cx = int(rg.congestion[x])
-    powers = power_table(rg.degree, max(rg.threshold, int(rg.congestion.max())))
+    cx = rg.congestion[x]
+    powers = power_table(rg.degree, max(rg.threshold, max(rg.congestion)))
     lhs = 0
     for y, mult in sorted(Counter(rg.children[x]).items()):
         weight = min(mult, rg.opt_cap)
@@ -123,7 +121,7 @@ def descendant_count_check(rg: ResourceGraph, root: int) -> tuple[int, bool]:
             else:
                 v2_reached.add(y)
     count = len(v2_reached)
-    c = int(rg.congestion[root])
+    c = rg.congestion[root]
     powers = power_table(rg.degree, max(c, rg.threshold))
     lhs = count * rg.opt_cap * powers[rg.threshold]
     rhs = Fraction(c - rg.opt_cap, 2 * rg.opt_cap) * powers[c]
@@ -167,7 +165,7 @@ def expansion_report(rg: ResourceGraph) -> dict[str, Any]:
         lhs, rhs, holds = check_expansion(rg, x)
         nodes.append({
             "resource": x,
-            "congestion": int(rg.congestion[x]),
+            "congestion": rg.congestion[x],
             "lhs": lhs,
             "rhs_num": rhs.numerator,
             "rhs_den": rhs.denominator,
@@ -183,11 +181,11 @@ def expansion_report(rg: ResourceGraph) -> dict[str, Any]:
         "all_hold": all(n["holds"] for n in nodes),
     }
     if rg.v1:
-        root = max(rg.v1, key=lambda r: (int(rg.congestion[r]), -r))
+        root = max(rg.v1, key=lambda r: (rg.congestion[r], -r))
         count, holds = descendant_count_check(rg, root)
         report["max_congestion_root"] = {
-            "resource": int(root),
-            "congestion": int(rg.congestion[root]),
+            "resource": root,
+            "congestion": rg.congestion[root],
             "terminal_descendants": count,
             "holds": holds,
         }

@@ -20,8 +20,8 @@ from .errors import GameFormatError, InvalidProfileError
 # A profile assigns each player an index into its strategy list.
 Profile = tuple[int, ...]
 
-# Per-resource player counts for one profile (always fits int64).
-CongestionVector = np.ndarray
+# Per-resource player counts for one profile.
+CongestionVector = list[int]
 
 
 def _normalize_strategy(
@@ -116,19 +116,21 @@ def validate_profile(game: Game, profile: Sequence[int]) -> Profile:
 
 def congestion_of(game: Game, profile: Sequence[int]) -> CongestionVector:
     """Number of players using each resource in the given state."""
-    profile = validate_profile(game, profile)
+    return _congestion(game, validate_profile(game, profile))
+
+
+def _congestion(game: Game, profile: Sequence[int]) -> CongestionVector:
+    """``congestion_of`` for a profile already known to be valid."""
     counts = [0] * game.num_resources
     for player, choice in enumerate(profile):
         for r in game.strategies[player][choice]:
             counts[r] += 1
-    return np.array(counts, dtype=np.int64)
+    return counts
 
 
-def bottleneck(cv: CongestionVector) -> int:
-    """Maximum congestion over all resources; 0 for an all-zero vector."""
-    if len(cv) == 0:
-        return 0
-    return int(cv.max())
+def bottleneck(cv: Sequence[int]) -> int:
+    """Maximum congestion over all resources; 0 for an empty vector."""
+    return int(max(cv, default=0))
 
 
 def delay(congestion: int, degree: int) -> int:
@@ -193,7 +195,7 @@ def player_cost(game: Game, profile: Sequence[int], player: int) -> int:
     if not 0 <= player < game.num_players:
         raise InvalidProfileError(f"no player {player} in a {game.num_players}-player game")
     chosen = game.chosen(profile, player)
-    return switch_cost(congestion_of(game, profile), chosen, chosen, game.degree)
+    return switch_cost(_congestion(game, profile), chosen, chosen, game.degree)
 
 
 # ---------------------------------------------------------------------------

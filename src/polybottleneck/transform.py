@@ -25,12 +25,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterable, Sequence
 
-import numpy as np
-
 from . import equilibria
 from .errors import DominationError, PreconditionError, StructuralError
 from .game_core import (
-    Game, Profile, bottleneck, congestion_of, delay, switch_cost, validate_profile,
+    Game, Profile, _congestion, bottleneck, congestion_of, delay, switch_cost, validate_profile,
 )
 
 
@@ -95,8 +93,6 @@ class TwoStrategyGame:
         # places where an equilibrium strategy enters or leaves the roster.
         self._singles: dict[int, set[int]] = {}  # resource -> its singleton players
         self._multis: set[int] = set()
-        # congestion -> number of resources at it
-        self._resources_at: defaultdict[int, int] = defaultdict(int, {0: num_resources})
         # Since the last check: players added or retracked, and the net change
         # of each equilibrium congestion that was touched.
         self._dirty: set[int] = set()
@@ -136,12 +132,9 @@ class TwoStrategyGame:
         return player
 
     def _move_eq(self, strategy: tuple[int, ...], step: int) -> None:
-        cong, at, moves = self._eq_cong, self._resources_at, self._eq_moves
+        cong, moves = self._eq_cong, self._eq_moves
         for r in strategy:
-            c = cong[r]
-            at[c] -= 1
-            at[c + step] += 1
-            cong[r] = c + step
+            cong[r] += step
             moves[r] += step
 
     def retrack(self, pid: int, strategy: Iterable[int]) -> None:
@@ -166,15 +159,15 @@ class TwoStrategyGame:
 
     # -- congestion and costs ------------------------------------------------
 
-    def eq_congestion(self) -> np.ndarray:
-        return np.array(self._eq_cong, dtype=np.int64)
+    def eq_congestion(self) -> list[int]:
+        return list(self._eq_cong)
 
-    def opt_congestion(self) -> np.ndarray:
+    def opt_congestion(self) -> list[int]:
         counts = [0] * self.num_resources
         for player in self.players.values():
             for r in player.opt_strategy:
                 counts[r] += 1
-        return np.array(counts, dtype=np.int64)
+        return counts
 
     def tracked_opt_bottleneck(self) -> int:
         return bottleneck(self.opt_congestion())
@@ -265,10 +258,11 @@ def init_two_strategy(
     per player.  The equilibrium profile must actually be a weak Nash state."""
     nash_profile = validate_profile(game, nash_profile)
     optimal_profile = validate_profile(game, optimal_profile)
-    if not equilibria.is_nash(game, nash_profile):
+    eq_cong = _congestion(game, nash_profile)
+    if not equilibria._is_nash(game, nash_profile, eq_cong):
         raise PreconditionError("the supplied equilibrium profile is not a weak Nash state")
-    eq_c = bottleneck(congestion_of(game, nash_profile))
-    opt_c = bottleneck(congestion_of(game, optimal_profile))
+    eq_c = bottleneck(eq_cong)
+    opt_c = bottleneck(_congestion(game, optimal_profile))
     threshold = max(2 * game.degree, 3 * opt_c)
     tsg = TwoStrategyGame(
         num_resources=game.num_resources,
@@ -280,7 +274,7 @@ def init_two_strategy(
     )
     for i in range(game.num_players):
         tsg.add_player(game.chosen(nash_profile, i), game.chosen(optimal_profile, i))
-    tsg._settle()  # is_nash above checked every player against both strategies
+    tsg._settle()  # _is_nash above checked every player against both strategies
     tsg.record("init", players=game.num_players, eq_bottleneck=eq_c,
                opt_bottleneck=opt_c, threshold=threshold)
     return tsg
@@ -340,7 +334,7 @@ def clean_game(tsg: TwoStrategyGame) -> TwoStrategyGame:
     if tsg._eq_cong != before_eq:
         raise StructuralError("cleaning changed the equilibrium congestion", state=tsg.to_dict())
     # Splitting preserves tracked congestion; pruning may only lower it.
-    if bool(np.any(tsg.opt_congestion() > before_opt)):
+    if any(a > b for a, b in zip(tsg.opt_congestion(), before_opt)):
         raise StructuralError("cleaning raised a tracked congestion", state=tsg.to_dict())
     tsg.check_equilibrium()
     for pid in tsg.multi_ids():
@@ -540,7 +534,7 @@ def eliminate_high_congestion(tsg: TwoStrategyGame, level: int, pid: int) -> Non
         tsg.record("eliminate", player=pid, donor=qid, resource=x, new_opt=list(fset))
         after_opt = tsg.opt_congestion()
         # Rewiring may only release tracked load, never add to it.
-        if bool(np.any(after_opt > before_opt)):
+        if any(a > b for a, b in zip(after_opt, before_opt)):
             raise StructuralError(
                 "tracked congestion increased during elimination",
                 state=tsg.to_dict(),
@@ -637,15 +631,16 @@ def _resolve_locked(tsg: TwoStrategyGame, phase: PhaseState, locked: list[int]) 
     above the level cost re-enters the queue (its strategy is strictly
     smaller, so the rounds terminate).
     """
+    if not locked:
+        return
     level = phase.level
     level_cost = delay(level, tsg.degree)
     singles = {r: len(ids) for r, ids in tsg._singles.items() if ids and tsg._eq_cong[r] == level}
-    num_level_resources = tsg._resources_at[level]
     # Round-robin donor order, and the position the next search starts at.
     order = tuple(sorted(singles, key=lambda r: (singles[r], r)))
     cursor = 0
     queue = deque(locked)
-    mark_budget = 4 * max(1, tsg.opt_bottleneck) * max(1, num_level_resources) + 64
+    mark_budget = 4 * max(1, tsg.opt_bottleneck) * max(1, tsg._eq_cong.count(level)) + 64
 
     while queue:
         pid = queue.popleft()
@@ -806,9 +801,7 @@ def verify_domination(
         tsg.num_resources == game.num_resources and len(used) <= game.num_resources
     )
     degree_ok = tsg.degree == game.degree
-    eq_congestion_ok = bool(
-        np.array_equal(tsg.eq_congestion(), congestion_of(game, nash_profile))
-    )
+    eq_congestion_ok = tsg.eq_congestion() == congestion_of(game, nash_profile)
     induced, eq_profile = tsg.induced_game()
     equilibrium_ok = equilibria.is_nash(induced, eq_profile)
     tracked = tsg.tracked_opt_bottleneck()

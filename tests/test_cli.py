@@ -201,6 +201,28 @@ def test_package_has_no_assert_statements():
     assert not found, found
 
 
+def test_numpy_stays_at_the_edges():
+    # Congestion and costs are plain ints outside the scan kernel.  Besides
+    # kernels.py, only game_core (np.integer resource ids) and the seeded
+    # random generators in generators and cli may import numpy.
+    allowed = {"kernels.py", "game_core.py", "generators.py", "cli.py"}
+
+    def imports_numpy(node):
+        if isinstance(node, ast.Import):
+            return any(alias.name.split(".")[0] == "numpy" for alias in node.names)
+        return (isinstance(node, ast.ImportFrom) and node.level == 0
+                and node.module.split(".")[0] == "numpy")
+
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(polybottleneck.__file__).parent.glob("*.py"))
+        if path.name not in allowed
+        for node in ast.walk(ast.parse(path.read_text()))
+        if imports_numpy(node)
+    ]
+    assert not found, found
+
+
 @pytest.mark.parametrize("argv", [
     ["suite", "--max-players", "1"],
     ["suite", "--max-resources", "1"],
@@ -210,6 +232,7 @@ def test_package_has_no_assert_statements():
     ["expansion", "GAME", "--cap", "0"],
     ["lower-bound", "--n", "3", "--degree", "1", "--cap", "0"],
     ["sweep", "--degree", "1", "--n-range", "5..3"],
+    ["suite", "--seed", "-1"],
 ])
 def test_bad_number_is_usage_error(argv, family_file, capsys):
     rc = main([family_file if a == "GAME" else a for a in argv])

@@ -30,7 +30,7 @@ def reference_graph(game, nash_profile, optimal_profile):
     congestion = congestion_of(game, nash_profile)
     cap = max(1, bottleneck(congestion_of(game, optimal_profile)))
     threshold = max(2 * game.degree, 3 * cap)
-    v1 = frozenset(int(r) for r in np.nonzero(congestion > threshold)[0])
+    v1 = frozenset(r for r, c in enumerate(congestion) if c > threshold)
     entries = [
         (game.chosen(tuple(nash_profile), i), game.chosen(tuple(optimal_profile), i))
         for i in range(game.num_players)
@@ -48,7 +48,7 @@ def reference_graph(game, nash_profile, optimal_profile):
         if len(eq) == 1 and eq[0] in v1:
             children[eq[0]].extend(int(y) for y in opt if y != eq[0])
     return ResourceGraph(
-        congestion=congestion.copy(),
+        congestion=tuple(congestion),
         degree=game.degree,
         threshold=threshold,
         opt_cap=cap,
@@ -63,16 +63,12 @@ def graph_fields(build, *args):
         rg = build(*args)
     except PreconditionError as exc:
         return ("error", str(exc))
-    return {
-        f.name: getattr(rg, f.name).tolist() if f.name == "congestion" else getattr(rg, f.name)
-        for f in dataclasses.fields(ResourceGraph)
-    }
+    return {f.name: getattr(rg, f.name) for f in dataclasses.fields(ResourceGraph)}
 
 
 def star_graph(center_congestion=7, leaves=6, threshold=3, opt_cap=1, degree=1):
-    congestion = np.array([center_congestion] + [threshold] * leaves, dtype=np.int64)
     return ResourceGraph(
-        congestion=congestion,
+        congestion=(center_congestion,) + (threshold,) * leaves,
         degree=degree,
         threshold=threshold,
         opt_cap=opt_cap,
@@ -99,6 +95,15 @@ class TestBuildGraph:
         assert rg.v1 == {0}
         # children: the tracked detours of the three players that kept them
         assert set(rg.children[0]) == set(range(4, 16))
+
+    def test_congestion_is_plain_ints(self):
+        # Outside the scan kernel every congestion vector holds Python ints.
+        inst = lower_bound.generate(4, 1)
+        tsg = init_two_strategy(inst.game, inst.state_all_direct, inst.state_all_paths)
+        vectors = [congestion_of(inst.game, inst.state_all_direct), tsg.eq_congestion(),
+                   tsg.opt_congestion(), build_resource_graph(tsg).congestion]
+        assert [type(v) for v in vectors] == [list, list, list, tuple]
+        assert all(type(c) is int for v in vectors for c in v)
 
     def test_child_multiset_matches_recount(self):
         rng = np.random.default_rng(8)
@@ -153,9 +158,8 @@ class TestCheckExpansion:
         assert rhs > 0
 
     def test_multiplicity_capped_at_opt_cap(self):
-        congestion = np.array([7, 3], dtype=np.int64)
         rg = ResourceGraph(
-            congestion=congestion, degree=1, threshold=3, opt_cap=2,
+            congestion=(7, 3), degree=1, threshold=3, opt_cap=2,
             children={0: tuple([1] * 10)}, v1=frozenset({0}),
         )
         lhs, _, _ = check_expansion(rg, 0)

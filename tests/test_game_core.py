@@ -59,13 +59,13 @@ class TestCongestion:
     def test_disjoint_players_stay_below_one(self):
         game = Game.build(3, 1, [[[0]], [[1]], [[2]]])
         counts = congestion_of(game, (0, 0, 0))
-        assert counts.max() <= 1
+        assert max(counts) <= 1
 
     def test_shared_edge_counts_all_users(self):
         inst = lower_bound.generate(4, 1)
         counts = congestion_of(inst.game, inst.state_all_direct)
         assert counts[0] == 4
-        assert counts[1:].max() == 0
+        assert max(counts[1:]) == 0
 
     def test_matches_recount_oracle(self, rng):
         game = Game.build(4, 2, [
@@ -164,7 +164,7 @@ class TestPowerTable:
                     moved = profile[:i] + (s,) + profile[i + 1:]
                     expected = oracle_player_cost(game, moved, i)
                     assert switch_cost(counts, current, target, degree) == expected
-                    assert switch_cost(counts.tolist(), current, target, degree) == expected
+                    assert switch_cost(np.array(counts), current, target, degree) == expected
                     # counts up to 61: entries far beyond int64 at degree >= 11
                     assert switch_cost(wide, current, target, degree) == sum(
                         oracle_power(wide[r] + (r not in current), degree) for r in target
@@ -207,7 +207,7 @@ class TestProperties:
         )
         counts = congestion_of(game, profile)
         incidences = sum(len(game.chosen(profile, i)) for i in range(game.num_players))
-        assert int(counts.sum()) == incidences
+        assert sum(counts) == incidences
 
     @settings(max_examples=40, deadline=None)
     @given(small_games(), st.data())

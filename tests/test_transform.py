@@ -328,15 +328,20 @@ class TestEliminate:
 
 
 def assert_index_matches_roster(tsg):
-    """The singleton and multi indexes equal a recount from the players."""
+    """The singleton and multi indexes and the equilibrium congestion equal a
+    recount from the players."""
     singles, multis = {}, set()
+    counts = [0] * tsg.num_resources
     for pid, p in tsg.players.items():
         if p.is_singleton:
             singles.setdefault(p.eq_strategy[0], set()).add(pid)
         else:
             multis.add(pid)
+        for r in p.eq_strategy:
+            counts[r] += 1
     assert {r: ids for r, ids in tsg._singles.items() if ids} == singles
     assert tsg._multis == multis
+    assert tsg._eq_cong == counts
 
 
 def strategies_of(tsg):
