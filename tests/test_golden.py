@@ -20,6 +20,8 @@ GOLDEN = Path(__file__).parent / "golden"
 
 # name -> argv; "@file" is a game file under tests/golden/.
 CASES = {
+    "analyze_tight12": ["analyze", "@tight12.json"],
+    "analyze_forced_d1": ["analyze", "@forced_d1.json"],
     "suite_count10_seed7": ["suite", "--count", "10", "--seed", "7"],
     "suite_object_path": ["suite", "--count", "5", "--seed", "3", "--degrees", "30", "41"],
     "sweep_degree1": ["sweep", "--degree", "1", "--n-range", "2..10"],
