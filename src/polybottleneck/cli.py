@@ -163,12 +163,15 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     lo, hi = _parse_range(args.n_range)
-    print("n\tnum_resources\tpoa\tresource_exponent_value\tupper_bound_general")
     for n in range(lo, hi + 1):
         instance = lower_bound.generate(n, args.degree)
         report = lower_bound.verify(instance, cap=args.cap)
         bound = expansion.upper_bound_general(instance.num_resources, args.degree)
         poa = report.poa.numerator / report.poa.denominator
+        if n == lo:
+            # Only once the first row's inputs (n, degree, cap) passed their
+            # checks, so a usage error prints nothing on stdout.
+            print("n\tnum_resources\tpoa\tresource_exponent_value\tupper_bound_general")
         print(
             f"{n}\t{instance.num_resources}\t{poa:g}\t"
             f"{report.resource_exponent_value:.3f}\t{bound:.3f}"

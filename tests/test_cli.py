@@ -254,6 +254,17 @@ class TestSweep:
             assert float(row[2]) == float(n)
             assert float(row[4]) >= float(row[2])  # bound dominates measured PoA
 
+    @pytest.mark.parametrize("argv", [
+        ["--degree", "0", "--n-range", "2..3"],
+        ["--degree", "1", "--n-range", "2..3", "--cap", "0"],
+        ["--degree", "1", "--n-range", "1..3"],
+    ])
+    def test_usage_error_prints_no_header(self, argv, capsys):
+        rc = main(["sweep", *argv])
+        out, err = capsys.readouterr()
+        assert_usage_error(rc, err)
+        assert out == ""
+
     def test_malformed_range_is_usage_error(self, capsys):
         rc = main(["sweep", "--degree", "1", "--n-range", "5"])
         assert_usage_error(rc, capsys.readouterr().err)

@@ -1,12 +1,13 @@
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
 
-from polybottleneck import generators, kernels
+from polybottleneck import generators, kernels, lower_bound
 from polybottleneck.cli import main
-from polybottleneck.game_core import Game, save_game
+from polybottleneck.game_core import Game, power_table, save_game
 
 from conftest import oracle_congestion, oracle_is_nash
 
@@ -97,7 +98,8 @@ def array_bytes(value) -> int:
     return 0
 
 
-# Twelve states each, so the chunks of 7 cross a boundary.
+# Twelve states each but the tight family (2**n), so the chunks of 7 cross a
+# boundary.
 EDGE_GAMES = {
     # strategies of unequal length: rows are padded with the ghost id
     "unequal_lengths": Game.build(
@@ -115,6 +117,22 @@ EDGE_GAMES = {
     "object_path": Game.build(
         7, 41, [[[0], [1, 2]], [[1], [0, 3, 4]], [[2, 5], [6], [0]]]
     ),
+    # private resources 5 and 6 of player 0 each sit in two of its
+    # strategies, so a deviation may keep some of them
+    "private_in_several_strategies": Game.build(
+        8, 2, [[[0, 5], [5, 6], [1, 6, 7]], [[0], [1, 2]], [[2, 3], [4]]]
+    ),
+    # every resource is private: the encoded table has zero width
+    "no_shared_resource": Game.build(
+        10, 2, [[[0], [1, 2]], [[3], [4], [5, 6, 7]], [[8], [8, 9]]]
+    ),
+    # exact object-dtype path with long private detours beside the shared hops
+    "object_path_private_detours": Game.build(
+        40, 41, [[[0], list(range(10, 22))], [[0], [1], list(range(22, 34))],
+                 [[0, 1], list(range(34, 40)) + [1]]]
+    ),
+    # the tight family: every resource but resource 0 is a private detour hop
+    **{f"tight_n{n}_d{d}": lower_bound.generate(n, d).game for d in (1, 2) for n in range(2, 7)},
 }
 
 
@@ -147,6 +165,14 @@ class TestEncoding:
         payload = json.loads(capsys.readouterr().out)
         assert (payload["C"], payload["C_star"]) == (2, 1)
         assert (payload["poa_num"], payload["poa_den"]) == (2, 1)
+
+    def test_private_resources_take_no_column(self):
+        # tight n=20, degree 2: 7,999 of the 8,000 resources are private
+        enc = kernels.encode_game(lower_bound.generate(20, 2).game)
+        assert enc.num_used == 1
+        assert enc.table.shape[1] == 1
+        assert enc.chunk == kernels.CHUNK
+        assert array_bytes(list(vars(enc).values())) < 64 * 1024
 
     def test_int64_guard_trips_on_huge_delays(self):
         game = Game.build(2, 40, [[[0, 1]], [[0], [1]], [[0], [1]]])
@@ -183,7 +209,7 @@ class TestBackendAgreement:
     def test_edge_inputs_match_oracle(self, name):
         game = EDGE_GAMES[name]
         enc = kernels.encode_game(game)
-        assert enc.int64_safe == (name != "object_path")
+        assert enc.int64_safe == (not name.startswith("object_path"))
         bottlenecks = scan_all(enc, kernels.bottlenecks_range)
         mask = scan_all(enc, kernels.nash_mask_range)
         whole = kernels.scan_range(enc, 0, enc.num_states)
@@ -196,18 +222,30 @@ class TestBackendAgreement:
 
     @pytest.mark.parametrize(
         "game",
-        [g for name, g in sorted(EDGE_GAMES.items()) if name != "object_path"]
+        [g for name, g in sorted(EDGE_GAMES.items()) if not name.startswith("object_path")]
         + [generators.random_game(np.random.default_rng(seed)) for seed in range(4)],
     )
     def test_loop_kernels_match_scan_range(self, game):
+        # The loops read the game itself, with its original resource ids, so
+        # they do not share the kernel's encoding.
         enc = kernels.encode_game(game)
-        real = enc.table < enc.num_used  # ghost padding sits at the row ends
-        strat_ptr = np.array(list(itertools.accumulate(real.sum(axis=1), initial=0)))
-        args = (enc.counts, enc.weights, enc.player_ptr, strat_ptr, enc.table[real])
+        counts = [len(s) for s in game.strategies]
+        weights = [math.prod(counts[i + 1:]) for i in range(len(counts))]
+        flat = [strategy for strat_set in game.strategies for strategy in strat_set]
+        args = (
+            np.array(counts),
+            np.array(weights),
+            np.array(list(itertools.accumulate(counts, initial=0))),
+            np.array(list(itertools.accumulate(map(len, flat), initial=0))),
+            np.array([r for strategy in flat for r in strategy]),
+        )
+        z = game.num_resources
+        pow_table = np.array(power_table(game.degree, game.num_players + 1), dtype=np.int64)
         for start in range(0, enc.num_states, 7):
             stop = min(start + 7, enc.num_states)
             bottlenecks, mask = kernels.scan_range(enc, start, stop)
-            loop_b = bottlenecks_loop(*args, enc.num_used, start, stop)
-            loop_m = nash_mask_loop(*args, enc.pow_table, enc.num_used, start, stop)
+            loop_b = bottlenecks_loop(*args, z, start, stop)
+            loop_m = nash_mask_loop(*args, pow_table, z, start, stop)
             assert np.array_equal(loop_b, bottlenecks)
             assert np.array_equal(loop_m, mask)
+
