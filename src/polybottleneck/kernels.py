@@ -98,29 +98,31 @@ def encode_game(game: Game) -> GameArrays:
     # Exact delay table over all reachable congestions (<= n players on a
     # resource, +1 headroom for deviation lookups).
     pow_exact = power_table(game.degree, n + 1)[:n + 2]
-    int64_safe = max_len * pow_exact[-1] + max(private) < _INT64_SAFE_LIMIT
+    # The table itself must fit even when no slot is shared (max_len 0).
+    int64_safe = max(max_len, 1) * pow_exact[-1] + max(private) < _INT64_SAFE_LIMIT
     dtype = np.int64 if int64_safe else object
 
     # shift for every strategy pair (cur, alt) of the same player, from one
     # sorted search of alt's slots in the row-tagged entries of cur.
-    blocks = list(zip(player_ptr, counts))
-    cur = np.array([p0 + c for p0, k in blocks for c in range(k) for _ in range(k)], dtype=np.int64)
-    alt = table[[a for p0, k in blocks for _ in range(k) for a in range(p0, p0 + k)]]
+    pairs = np.array(
+        [(p0 + c, p0 + a) for p0, k in zip(player_ptr, counts) for c in range(k) for a in range(k)],
+        dtype=np.int64,
+    )
     keys = (table + (z + 1) * np.arange(len(flat))[:, None]).ravel()
-    query = alt + (z + 1) * cur[:, None]
+    alt = table[pairs[:, 1]]
+    query = alt + (z + 1) * pairs[:, :1]
     hit = keys.take(np.searchsorted(keys, query), mode="clip") == query
     shift = np.where(hit & (alt < z), 0, 1)
     deviations = []
-    q0 = 0
-    for p0, k in blocks:
+    for p0, k in zip(player_ptr, counts):
         width = max(lengths[p0:p0 + k])
         priv = private[p0:p0 + k]
         deviations.append((
             table[p0:p0 + k, :width],
-            shift[q0:q0 + k * k].reshape(k, k, max_len)[:, :, :width],
+            shift[:k * k].reshape(k, k, max_len)[:, :, :width],
             np.array(priv, dtype=dtype) if min(priv) != max(priv) else None,
         ))
-        q0 += k * k
+        shift = shift[k * k:]
 
     return GameArrays(
         num_used=z,

@@ -131,6 +131,12 @@ EDGE_GAMES = {
         40, 41, [[[0], list(range(10, 22))], [[0], [1], list(range(22, 34))],
                  [[0, 1], list(range(34, 40)) + [1]]]
     ),
+    # no shared resource, and delays past int64 (2**63, 3**41): a zero-width
+    # table must not let the delay table itself through the int64 guard
+    "object_path_no_shared_single_player": Game.build(3, 63, [[[0], [1, 2]]]),
+    "object_path_no_shared_two_players": Game.build(
+        5, 41, [[[0], [1, 2]], [[3], [4], [3, 4]]]
+    ),
     # the tight family: every resource but resource 0 is a private detour hop
     **{f"tight_n{n}_d{d}": lower_bound.generate(n, d).game for d in (1, 2) for n in range(2, 7)},
 }
