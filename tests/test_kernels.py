@@ -98,8 +98,7 @@ def array_bytes(value) -> int:
     return 0
 
 
-# Twelve states each but the tight family (2**n), so the chunks of 7 cross a
-# boundary.
+# Most have twelve states or more, so the chunks of 7 cross a boundary.
 EDGE_GAMES = {
     # strategies of unequal length: rows are padded with the ghost id
     "unequal_lengths": Game.build(
@@ -254,4 +253,3 @@ class TestBackendAgreement:
             loop_m = nash_mask_loop(*args, pow_table, z, start, stop)
             assert np.array_equal(loop_b, bottlenecks)
             assert np.array_equal(loop_m, mask)
-
