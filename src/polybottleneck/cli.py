@@ -248,6 +248,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except PolyBottleneckError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (MemoryError, OverflowError) as exc:
+        # e.g. a per-resource vector for a game that declares 2**62 resources
+        print(f"error: a computation could not run: {str(exc) or type(exc).__name__}",
+              file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

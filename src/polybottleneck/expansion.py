@@ -9,6 +9,7 @@ certify, with exact rational arithmetic, the inequalities behind the
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -136,7 +137,11 @@ def upper_bound_singleton(num_resources: int, degree: int) -> float:
         raise ValueError(f"num_resources must be >= 1, got {num_resources}")
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
-    raw = (4 * 3**degree * (num_resources - 1)) ** (1.0 / (degree + 1))
+    if num_resources == 1:
+        return 2.0
+    # The root through the log of the exact radicand, which stops fitting a
+    # float near degree 640.
+    raw = math.exp(math.log(4 * 3**degree * (num_resources - 1)) / (degree + 1))
     return max(2.0, raw)
 
 

@@ -100,15 +100,11 @@ class TwoStrategyGame:
 
     # -- roster -------------------------------------------------------------
 
-    def add_player(
-        self, eq_strategy: Iterable[int], opt_strategy: Iterable[int], marked: bool = False
-    ) -> int:
+    def add_player(self, eq_strategy: Iterable[int], opt_strategy: Iterable[int]) -> int:
         pid = self._next_id
         self._next_id += 1
         player = TwoStrategyPlayer(
-            eq_strategy=tuple(sorted(eq_strategy)),
-            opt_strategy=tuple(sorted(opt_strategy)),
-            marked=marked,
+            eq_strategy=tuple(sorted(eq_strategy)), opt_strategy=tuple(sorted(opt_strategy))
         )
         if not player.eq_strategy:
             raise StructuralError("refusing to add a player with an empty equilibrium strategy")
@@ -471,11 +467,7 @@ def split_player(tsg: TwoStrategyGame, pid: int) -> list[int]:
             raise StructuralError(
                 f"multi sub-player {nid} of {pid} costs {c}, above {cap}", state=tsg.to_dict()
             )
-        if not tsg.in_equilibrium(nid):
-            raise StructuralError(
-                f"sub-player {nid} of {pid} is not in equilibrium",
-                state=tsg.to_dict(),
-            )
+    tsg.check_equilibrium()  # the new sub-players are dirty
     return new_ids
 
 
@@ -658,11 +650,7 @@ def _resolve_locked(tsg: TwoStrategyGame, phase: PhaseState, locked: list[int]) 
         qid, resource, position = donor_pick
         donor = tsg.players[qid]
         tsg.retrack(pid, set(donor.opt_strategy) | set(player.opt_strategy))
-        if not tsg.in_equilibrium(pid):
-            raise StructuralError(
-                f"merged tracked strategy broke equilibrium of {pid}",
-                state=tsg.to_dict(),
-            )
+        tsg.check_equilibrium()  # the merged player is dirty
         new_ids = split_player(tsg, pid)
         phase.splits += 1
         tsg.retrack(qid, (resource,))

@@ -120,6 +120,11 @@ class TestSuite:
         assert first.returncode == 0
         assert first.stdout == second.stdout
 
+    def test_huge_degree_passes(self, capsys):
+        # The bound's radicand 4 * 3**700 * (z - 1) does not fit a float.
+        assert main(["suite", "--count", "1", "--degrees", "700"]) == 0
+        assert json.loads(capsys.readouterr().out)["aggregate_pass"]
+
     def test_zero_count_is_usage_error(self, capsys):
         # A pass over zero games would verify nothing.
         rc = main(["suite", "--count", "0"])
@@ -188,6 +193,21 @@ class TestLowerBound:
     def test_too_few_players_is_usage_error(self, capsys):
         rc = main(["lower-bound", "--n", "1", "--degree", "1"])
         assert_usage_error(rc, capsys.readouterr().err)
+
+
+# Only sizes that fail before any allocation: 2**62 list slots overflow the
+# byte count (MemoryError), 2**63 overflows the index type (OverflowError).
+@pytest.mark.parametrize("exponent", [62, 63])
+@pytest.mark.parametrize("command", ["transform", "expansion"])
+def test_huge_declared_resource_count_is_reported(command, exponent, tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(
+        {"degree": 1, "num_resources": 2**exponent, "players": [[[0], [1]], [[0], [2]]]}))
+    rc = main([command, str(path)])
+    out, err = capsys.readouterr()
+    assert rc == 1 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: a computation could not run")
 
 
 def test_package_has_no_assert_statements():

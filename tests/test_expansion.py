@@ -238,6 +238,19 @@ class TestBounds:
                         expected = c / c_star <= bound or math.isclose(c / c_star, bound)
                         assert poa_within_general_bound(c, c_star, z, m) == expected
 
+    def test_huge_degree_stays_finite(self):
+        # 4 * 3**700 * 2 does not fit a float; its 701st root is about 3.
+        assert math.isfinite(upper_bound_general(3, 700))
+        assert upper_bound_singleton(3, 700) == pytest.approx(3 * (8 / 3) ** (1 / 701))
+        assert upper_bound_singleton(1, 700) == 2.0
+
+    def test_log_root_matches_the_direct_root(self):
+        for m in range(1, 20):
+            for z in range(1, 200, 7):
+                direct = max(2.0, (4 * 3**m * (z - 1)) ** (1.0 / (m + 1)))
+                assert round(upper_bound_singleton(z, m), 3) == round(direct, 3)
+                assert round(upper_bound_general(z, m), 3) == round(7.0 * direct, 3)
+
     def test_boundary_equality_included(self):
         # 7 * sqrt(12 * 3) = 42 exactly: a ratio of exactly 42 must pass
         assert poa_within_general_bound(42, 1, 4, 1)

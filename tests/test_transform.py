@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polybottleneck
-from polybottleneck import equilibria, generators, lower_bound
+from polybottleneck import equilibria, generators, lower_bound, transform
 from polybottleneck.errors import DominationError, PreconditionError, StructuralError
 from polybottleneck.game_core import Game, bottleneck, congestion_of
 from polybottleneck.transform import (
+    PartitionPair,
     TwoStrategyGame,
     clean_game,
     eliminate_high_congestion,
@@ -280,6 +281,20 @@ class TestSplitPlayer:
             assert np.array_equal(tsg.eq_congestion(), eq_before)
             tsg.check_equilibrium()
 
+    def test_broken_split_is_caught_inside_the_split(self, monkeypatch):
+        # Congestion 3, 1, 0, 3.  Player 5 pays 3 + 1 and would pay 1 + 4: stable.
+        tsg = TwoStrategyGame(num_resources=4, degree=1, threshold=2,
+                              eq_bottleneck=3, opt_bottleneck=1)
+        for r in (0, 0, 3, 3, 3):
+            tsg.add_player([r], [r])
+        pid = tsg.add_player([0, 1], [2, 3])
+        tsg.check_equilibrium()
+        # A faulty partition: sub-player 6 would pay 3 on resource 0 and 1 on 2.
+        monkeypatch.setattr(transform, "greedy_cover_pairs", lambda *args: [
+            PartitionPair((0,), (2,)), PartitionPair((1,), (3,))])
+        with pytest.raises(StructuralError, match="player 6 "):
+            split_player(tsg, pid)
+
 
 class TestEliminate:
     def _manual_tsg(self):
@@ -475,6 +490,42 @@ class TestIncrementalCheck:
         assert self.rechecked == [new]
 
 
+def test_no_player_is_rechecked_unchanged(monkeypatch):
+    # Outside the final full check, a player is checked once per pair of
+    # strategies it holds: the congestion never moves, so a second check of
+    # the same pair could only repeat the first.
+    in_equilibrium = TwoStrategyGame.in_equilibrium
+    check = TwoStrategyGame.check_equilibrium
+    seen, repeats, in_full = set(), [], [False]
+
+    def counted(tsg, pid):
+        if not in_full[0]:
+            p = tsg.players[pid]
+            key = (id(tsg), pid, p.eq_strategy, p.opt_strategy)
+            if key in seen:
+                repeats.append(key[1:])
+            seen.add(key)
+        return in_equilibrium(tsg, pid)
+
+    def flagged(tsg, full=False):
+        in_full[0] = full
+        try:
+            check(tsg, full)
+        finally:
+            in_full[0] = False
+
+    monkeypatch.setattr(TwoStrategyGame, "in_equilibrium", counted)
+    monkeypatch.setattr(TwoStrategyGame, "check_equilibrium", flagged)
+    kept = []  # keeps every workspace alive, so no id() is reused
+    for seed in range(150):
+        rng = np.random.default_rng(seed)
+        for degree in (1, 1, 1, 2):
+            game, s_eq, s_opt = generators.forced_congestion_game(rng, degree)
+            kept.append(transform_to_singletons(game, s_eq, s_opt))
+    assert seen
+    assert not repeats, (len(repeats), repeats[:5])
+
+
 def test_tracked_strategies_change_only_through_retrack():
     # The incremental check trusts every player that was not retracked.
     found = []
@@ -497,6 +548,26 @@ def test_tracked_strategies_change_only_through_retrack():
                 if isinstance(t, ast.Attribute) and t.attr == "opt_strategy"
                 and id(node) not in inside
             ]
+    assert not found, found
+
+
+def test_only_check_equilibrium_decides_stability():
+    # Its dirty set and congestion guard are what make skipping a player safe.
+    found = []
+    for path in sorted(Path(polybottleneck.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = {
+            id(node)
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name == "check_equilibrium"
+            for node in ast.walk(fn)
+        }
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "in_equilibrium"
+            and isinstance(node.ctx, ast.Load) and id(node) not in allowed
+        ]
     assert not found, found
 
 
