@@ -22,6 +22,7 @@ GOLDEN = Path(__file__).parent / "golden"
 CASES = {
     "analyze_tight12": ["analyze", "@tight12.json"],
     "analyze_forced_d1": ["analyze", "@forced_d1.json"],
+    "analyze_random_d24": ["analyze", "@random_d24.json"],
     "suite_count10_seed7": ["suite", "--count", "10", "--seed", "7"],
     "suite_object_path": ["suite", "--count", "5", "--seed", "3", "--degrees", "30", "41"],
     "sweep_degree1": ["sweep", "--degree", "1", "--n-range", "2..10"],
@@ -87,6 +88,13 @@ def regenerate() -> None:
     # Hub players whose detours have slack: the trace reaches ``prune``.
     game, _, _ = slack_hub_game(np.random.default_rng(6), 2)
     save_game(game, str(GOLDEN / "slack_hub_d2.json"))
+    # 13 players with 2 strategies of 1-3 resources each, at degree 24: the
+    # int64 guard sends the 8,192-state scan down the exact object path.
+    rng = np.random.default_rng(24)
+    z = int(rng.integers(16, 25))
+    players = [[sorted(int(r) for r in rng.choice(z, int(rng.integers(1, 4)), replace=False))
+                for _ in range(2)] for _ in range(13)]
+    save_game(Game.build(z, 24, players), str(GOLDEN / "random_d24.json"))
     codes = {}
     for name, argv in sorted(CASES.items()):
         codes[name], out, err = run_case(argv)
