@@ -14,6 +14,13 @@ never with ``num_resources``.  A private resource carries congestion 1
 whenever it is used and costs ``1**M = 1`` in every deviation, so each
 strategy keeps only the count of its private resources.  Profiles are
 indexed lexicographically: player 0 varies slowest.
+
+Congestion is additive over players, so the scan splits a profile index into
+``a * B + b``: ``b`` is the joint choice of the last players (the suffix,
+``B`` choices) and ``a`` that of the players before them (the prefix).
+``encode_game`` counts the congestion of every suffix choice once per game;
+a chunk counts only the congestion of the prefixes it touches and adds the
+two by broadcasting.  Profile order is unchanged, so every tie-break is too.
 """
 
 from __future__ import annotations
@@ -23,14 +30,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import PreconditionError
 from .game_core import Game, Profile, power_table
 
 # int64 margin: leaves headroom for the accumulating sums.
 _INT64_SAFE_LIMIT = 2**62
 
 CHUNK = 8192
-# Per-profile arrays of a chunk (padded slots, congestion rows) are kept to
-# about this many int64 cells, so they stay in cache on wide games.
+# Per-profile arrays of a chunk (congestion rows, deviation gathers) and the
+# suffix congestion table are kept to about this many int64 cells, so they
+# stay in cache on wide games.
 _CHUNK_CELLS = 2**18
 
 
@@ -60,6 +69,10 @@ class GameArrays:
     # every deviation cost cannot change the player's verdict.
     deviations: list[tuple[np.ndarray, np.ndarray, np.ndarray | None]]
     num_states: int
+    # Profile index = a * B + b: b is the joint choice of players
+    # prefix_players.. (the suffix, B choices), a that of the players before.
+    prefix_players: int
+    suffix_cong: np.ndarray  # (B, num_used+1) congestion of each suffix choice, ghost -1
     chunk: int              # profiles per scan_range call, at most CHUNK
     int64_safe: bool
     pow_table: np.ndarray   # delay table c**M: int64 when int64_safe, else object
@@ -114,8 +127,10 @@ def encode_game(game: Game) -> GameArrays:
     hit = keys.take(np.searchsorted(keys, query), mode="clip") == query
     shift = np.where(hit & (alt < z), 0, 1)
     deviations = []
+    gather = 0  # widest (k, width) deviation gather of a player
     for p0, k in zip(player_ptr, counts):
         width = max(lengths[p0:p0 + k])
+        gather = max(gather, k * width)
         priv = private[p0:p0 + k]
         deviations.append((
             table[p0:p0 + k, :width],
@@ -123,6 +138,31 @@ def encode_game(game: Game) -> GameArrays:
             np.array(priv, dtype=dtype) if min(priv) != max(priv) else None,
         ))
         shift = shift[k * k:]
+
+    # Per profile a chunk holds a congestion row and, for one player at a
+    # time, its (k, width) deviation gather.
+    cells = z + 1 + gather
+    chunk = max(1, min(CHUNK, _CHUNK_CELLS // cells))
+    # The suffix is the longest run of last players whose joint choices B
+    # satisfy B * B <= chunk, so a full chunk spans at least B prefixes.
+    p, block = n, 1
+    while p and (block * counts[p - 1]) ** 2 <= chunk:
+        p -= 1
+        block *= counts[p]
+    # Each prefix a chunk touches decodes p * max_len slots: ceil(/ B) per profile.
+    chunk = max(1, min(chunk, _CHUNK_CELLS // (cells + -(-p * max_len // block))))
+    # Congestion of each strategy alone, then of every suffix choice as the
+    # outer sum over the suffix players, last player fastest.  The ghost
+    # column holds -1, so it is never the bottleneck and reads
+    # pow[-1 + shift 1] = 0 in deviations.
+    row0 = player_ptr[p]
+    single = np.bincount(keys[row0 * max_len:] - row0 * (z + 1),
+                         minlength=(len(flat) - row0) * (z + 1)).reshape(-1, z + 1)
+    suffix_cong = single[player_ptr[n - 1] - row0:] if p < n else np.zeros((1, z + 1), np.int64)
+    for i in range(n - 2, p - 1, -1):
+        rows = single[player_ptr[i] - row0:player_ptr[i + 1] - row0]
+        suffix_cong = (rows[:, None] + suffix_cong).reshape(-1, z + 1)
+    suffix_cong[:, z] = -1
 
     return GameArrays(
         num_used=z,
@@ -132,7 +172,9 @@ def encode_game(game: Game) -> GameArrays:
         table=table,
         deviations=deviations,
         num_states=num_states,
-        chunk=max(1, min(CHUNK, _CHUNK_CELLS // (n * max_len + z + 1))),
+        prefix_players=p,
+        suffix_cong=suffix_cong,
+        chunk=chunk,
         int64_safe=int64_safe,
         pow_table=np.array(pow_exact, dtype=dtype),
     )
@@ -147,32 +189,47 @@ def scan_range(enc: GameArrays, start: int, stop: int) -> tuple[np.ndarray, np.n
     [start, stop).  A profile is flagged when no player has a strictly
     cheaper alternative (equal-cost deviations do not break equilibrium).
 
-    Congestion of the shared resources of the whole chunk comes from one
-    bincount, then each player's deviation costs from one gather into the
-    delay table plus the private counts.  Every strategy is non-empty, so
-    the bottleneck is at least 1 even where only private resources are
-    used."""
+    Congestion is additive over players, so a profile's congestion row is
+    that of its prefix plus that of its suffix: one bincount counts the
+    prefixes that touch the range, and one broadcast add against
+    ``suffix_cong`` gives every row.  Each player's deviation costs then come
+    from one gather into the delay table plus the private counts.  Every
+    strategy is non-empty, so the bottleneck is at least 1 even where only
+    private resources are used."""
+    if not 0 <= start < stop <= enc.num_states:
+        raise PreconditionError(
+            f"scan range [{start}, {stop}) is not a non-empty part of [0, {enc.num_states})"
+        )
     m = stop - start
     z = enc.num_used
-    choices = (np.arange(start, stop, dtype=np.int64)[:, None] // enc.weights) % enc.counts
-    slots = enc.table[choices + enc.player_ptr[:-1]]  # (m, n, max_len)
-    slots += (np.arange(m, dtype=np.int64) * (z + 1))[:, None, None]
-    cong = np.bincount(slots.ravel(), minlength=m * (z + 1)).reshape(m, z + 1)
-    # Ghost column: never the bottleneck, and pow[-1 + shift 1] = 0 below.
-    cong[:, z] = -1
+    p = enc.prefix_players
+    block = len(enc.suffix_cong)
+    if p:
+        first = start // block
+        prefix = np.arange(first, (stop - 1) // block + 1, dtype=np.int64)
+        prefix_choices = prefix[:, None] // (enc.weights[:p] // block) % enc.counts[:p]
+        slots = enc.table[prefix_choices + enc.player_ptr[:p]].reshape(len(prefix), -1)
+        slots += (np.arange(len(prefix), dtype=np.int64) * (z + 1))[:, None]
+        prefix_cong = np.bincount(slots.ravel(), minlength=len(prefix) * (z + 1))
+        prefix_cong = prefix_cong.reshape(len(prefix), z + 1)
+        prefix_cong[:, z] = 0  # the suffix's ghost -1 stands
+        cong = (prefix_cong[:, None, :] + enc.suffix_cong[None]).reshape(-1, z + 1)
+        cong = cong[start - first * block:stop - first * block]
+    else:
+        cong = enc.suffix_cong[start:stop]
     bottlenecks = np.maximum(cong.max(axis=1), 1)
 
     # Players are checked in turn, each only on the profiles still stable.
-    live = np.arange(m)
+    live = positions = np.arange(m)
     flat = cong.ravel()
     for i, (alt, shift, private) in enumerate(enc.deviations):
-        cur = choices[live, i]
+        cur = ((live + start) // enc.weights[i]) % enc.counts[i]
         # dev[:, s] = cost of strategy s after moving there from cur: a slot
         # already in cur keeps its congestion, any other gets one more user.
         dev = enc.pow_table[flat[(live * (z + 1))[:, None, None] + alt] + shift[cur]].sum(axis=2)
         if private is not None:
             dev += private
-        live = live[np.asarray(dev.min(axis=1) >= dev[np.arange(len(live)), cur], dtype=bool)]
+        live = live[np.asarray(dev.min(axis=1) >= dev[positions[:len(live)], cur], dtype=bool)]
         if not len(live):
             break
     mask = np.zeros(m, dtype=bool)

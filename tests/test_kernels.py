@@ -1,12 +1,14 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from polybottleneck import generators, kernels, lower_bound
 from polybottleneck.cli import main
+from polybottleneck.errors import PreconditionError
 from polybottleneck.game_core import Game, power_table, save_game
 
 from conftest import oracle_congestion, oracle_is_nash
@@ -138,6 +140,43 @@ EDGE_GAMES = {
     ),
     # the tight family: every resource but resource 0 is a private detour hop
     **{f"tight_n{n}_d{d}": lower_bound.generate(n, d).game for d in (1, 2) for n in range(2, 7)},
+    # Suffix blocks (see BLOCK_SHAPES).  Counts 3, 1, 2, 4, 2 over wide shared
+    # strategies: the chunk is small, so the suffix is the last two players
+    # and the prefix decodes in mixed radix 3, 1, 2.
+    "block_mixed_radix": Game.build(220, 1, [
+        [[0, 110], [1, 2, 111], [3]],
+        [[4, 160]],
+        [[5, 6], [170]],
+        [[r for r in range(220) if r % 20 != k] for k in range(4)],
+        [list(range(110)), list(range(110, 220))],
+    ]),
+    # the same counts, narrow: the whole game lies in the suffix
+    "block_all_suffix": Game.build(
+        6, 2, [[[0], [1, 2], [3]], [[4]], [[0, 5], [2]], [[1], [3], [0, 4], [5]], [[2, 3], [4, 5]]]
+    ),
+    # 40 strategies for the last player: it alone fills the suffix
+    "block_single_suffix_player": Game.build(
+        44, 2, [[[0], [1, 2]], [[0, 3], [1]], [[s % 4, 4 + s] for s in range(40)]]
+    ),
+    # count-1 players first (in the prefix) and last (in the suffix)
+    "block_count1_both_ends": Game.build(45, 1, [
+        [[0, 1]], [[0], [1], [2, 3]], [[2], [0, 3]], [[s % 4, 5 + s] for s in range(40)], [[3, 4]],
+    ]),
+    # wide enough that 40 * 40 exceeds the chunk: the suffix holds only the
+    # count-1 last player, so B = 1 and every profile is its own prefix
+    "block_empty_suffix": Game.build(12, 1, [
+        [[0, 1], [2]], [[1], [2, 3], [0]],
+        [[s % 12, (s + 1) % 12, (s + 3) % 12, (s + 5) % 12] for s in range(40)], [[4, 5, 6, 7]],
+    ]),
+}
+
+# name -> (prefix players, suffix states B) under the default chunk budget.
+BLOCK_SHAPES = {
+    "block_mixed_radix": (3, 8),
+    "block_all_suffix": (0, 48),
+    "block_single_suffix_player": (2, 40),
+    "block_count1_both_ends": (3, 40),
+    "block_empty_suffix": (3, 1),
 }
 
 
@@ -178,6 +217,11 @@ class TestEncoding:
         assert enc.table.shape[1] == 1
         assert enc.chunk == kernels.CHUNK
         assert array_bytes(list(vars(enc).values())) < 64 * 1024
+
+    @pytest.mark.parametrize("name", sorted(BLOCK_SHAPES))
+    def test_block_edge_games_have_their_shape(self, name):
+        enc = kernels.encode_game(EDGE_GAMES[name])
+        assert (enc.prefix_players, len(enc.suffix_cong)) == BLOCK_SHAPES[name]
 
     def test_int64_guard_trips_on_huge_delays(self):
         game = Game.build(2, 40, [[[0, 1]], [[0], [1]], [[0], [1]]])
@@ -253,3 +297,53 @@ class TestBackendAgreement:
             loop_m = nash_mask_loop(*args, pow_table, z, start, stop)
             assert np.array_equal(loop_b, bottlenecks)
             assert np.array_equal(loop_m, mask)
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("start, stop", [(0, 11), (5, 3), (3, 3), (-1, 2), (8, 9)])
+    def test_scan_range_rejects_ranges_outside_the_states(self, start, stop):
+        enc = kernels.encode_game(lower_bound.generate(3, 1).game)
+        assert enc.num_states == 8
+        with pytest.raises(PreconditionError):
+            kernels.scan_range(enc, start, stop)
+
+    @pytest.mark.parametrize(
+        "name", [name for name, (p, _) in sorted(BLOCK_SHAPES.items()) if p]
+    )
+    def test_unaligned_ranges_across_block_boundaries(self, name):
+        game = EDGE_GAMES[name]
+        enc = kernels.encode_game(game)
+        block = len(enc.suffix_cong)
+        total = enc.num_states
+        whole_b, whole_m = kernels.scan_range(enc, 0, total)
+        cuts = {block - 1, block, block + 1} | {k * block + 3 for k in range(total // block)}
+        cuts = sorted({c for c in cuts if 0 < c < total} | {0, total})
+        ranges = list(zip(cuts, cuts[1:])) + [(block - 1, min(2 * block + 3, total))]
+        for start, stop in ranges:
+            b, m = kernels.scan_range(enc, start, stop)
+            assert np.array_equal(b, whole_b[start:stop])
+            assert np.array_equal(m, whole_m[start:stop])
+        for idx in range(total):
+            profile = kernels.profile_from_index(enc, idx)
+            assert whole_b[idx] == max(oracle_congestion(game, profile))
+            assert bool(whole_m[idx]) == oracle_is_nash(game, profile)
+
+    def test_scan_memory_stays_within_the_cell_budget(self):
+        # 12 players, 3 strategies of 40 out of 400 resources each: most
+        # resources are shared, so congestion rows are wide and chunks short.
+        rng = np.random.default_rng(0)
+        game = Game.build(400, 2, [
+            [sorted(int(r) for r in rng.choice(400, 40, replace=False)) for _ in range(3)]
+            for _ in range(12)
+        ])
+        enc = kernels.encode_game(game)
+        budget = kernels._CHUNK_CELLS * 8
+        assert enc.num_used > 300 and enc.prefix_players > 0
+        assert enc.suffix_cong.size <= kernels._CHUNK_CELLS
+        tracemalloc.start()
+        try:
+            kernels.scan_range(enc, 5, 5 + enc.chunk)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * budget
