@@ -144,7 +144,8 @@ def encode_game(game: Game) -> GameArrays:
     cells = z + 1 + gather
     chunk = max(1, min(CHUNK, _CHUNK_CELLS // cells))
     # The suffix is the longest run of last players whose joint choices B
-    # satisfy B * B <= chunk, so a full chunk spans at least B prefixes.
+    # satisfy B * B <= chunk, so a full chunk spans at least B prefixes; B <=
+    # chunk also keeps the (B, z + 1) suffix table within the cell budget.
     p, block = n, 1
     while p and (block * counts[p - 1]) ** 2 <= chunk:
         p -= 1
@@ -192,7 +193,8 @@ def scan_range(enc: GameArrays, start: int, stop: int) -> tuple[np.ndarray, np.n
     Congestion is additive over players, so a profile's congestion row is
     that of its prefix plus that of its suffix: one bincount counts the
     prefixes that touch the range, and one broadcast add against
-    ``suffix_cong`` gives every row.  Each player's deviation costs then come
+    ``suffix_cong`` gives every row (a game without prefix players slices
+    ``suffix_cong`` itself).  Each player's deviation costs then come
     from one gather into the delay table plus the private counts.  Every
     strategy is non-empty, so the bottleneck is at least 1 even where only
     private resources are used."""
