@@ -15,6 +15,11 @@ whenever it is used and costs ``1**M = 1`` in every deviation, so each
 strategy keeps only the count of its private resources.  Profiles are
 indexed lexicographically: player 0 varies slowest.
 
+Deviations are priced by the cost rule of ``game_core.switch_cost``, with the
+same +1: with player i taken off (congestion ``C^{-i}``), strategy s costs
+``sum over r in s of (C_r^{-i} + 1)**M``.  A resource in both the current
+strategy and s keeps its congestion; any other carries one more user.
+
 Congestion is additive over players, so the scan splits a profile index into
 ``a * B + b``: ``b`` is the joint choice of the last players (the suffix,
 ``B`` choices) and ``a`` that of the players before them (the prefix).
@@ -61,13 +66,11 @@ class GameArrays:
     weights: np.ndarray     # (n,) lexicographic decode weights
     player_ptr: np.ndarray  # (n+1,) player -> first strategy row
     table: np.ndarray       # (total_strats, max_len) shared compact ids, ghost-padded
-    # Per player: its rows of ``table`` cut to its longest shared part (k, L);
-    # shift[cur, alt, l] (k, k, L): 0 when the resource in slot l of alt is
-    # in strategy cur, else 1 (always 1 on ghost slots); and the private
-    # resource count of each strategy (k,) in the delay table's dtype, or
-    # None when all its strategies have the same count: a constant added to
-    # every deviation cost cannot change the player's verdict.
-    deviations: list[tuple[np.ndarray, np.ndarray, np.ndarray | None]]
+    # Per player: its rows of ``table`` cut to its longest shared part (k, L),
+    # and the private resource count of each strategy (k,) in the delay
+    # table's dtype, or None when all its strategies have the same count: a
+    # constant added to every deviation cost cannot change the verdict.
+    deviations: list[tuple[np.ndarray, np.ndarray | None]]
     num_states: int
     # Profile index = a * B + b: b is the joint choice of players
     # prefix_players.. (the suffix, B choices), a that of the players before.
@@ -75,7 +78,9 @@ class GameArrays:
     suffix_cong: np.ndarray  # (B, num_used+1) congestion of each suffix choice, ghost -1
     chunk: int              # profiles per scan_range call, at most CHUNK
     int64_safe: bool
-    pow_table: np.ndarray   # delay table c**M: int64 when int64_safe, else object
+    # Entry c is (c+1)**M, the delay of a resource after the player joins its
+    # c other users; two trailing zeros serve the ghost column's -1 and -2.
+    pow_table: np.ndarray   # int64 when int64_safe, else object
 
 
 def encode_game(game: Game) -> GameArrays:
@@ -106,38 +111,22 @@ def encode_game(game: Game) -> GameArrays:
     table = np.array(
         [row + [z] * (max_len - len(row)) for row in rows], dtype=np.int64
     ).reshape(len(flat), max_len)  # the reshape keeps a zero-width table 2-d
-    table.sort(axis=1)  # the membership search needs sorted rows; ghosts stay last
 
-    # Exact delay table over all reachable congestions (<= n players on a
-    # resource, +1 headroom for deviation lookups).
+    # Exact delays over all reachable congestions (<= n players on a resource,
+    # one spare entry above n).
     pow_exact = power_table(game.degree, n + 1)[:n + 2]
     # The table itself must fit even when no slot is shared (max_len 0).
     int64_safe = max(max_len, 1) * pow_exact[-1] + max(private) < _INT64_SAFE_LIMIT
     dtype = np.int64 if int64_safe else object
 
-    # shift for every strategy pair (cur, alt) of the same player, from one
-    # sorted search of alt's slots in the row-tagged entries of cur.
-    pairs = np.array(
-        [(p0 + c, p0 + a) for p0, k in zip(player_ptr, counts) for c in range(k) for a in range(k)],
-        dtype=np.int64,
-    )
-    keys = (table + (z + 1) * np.arange(len(flat))[:, None]).ravel()
-    alt = table[pairs[:, 1]]
-    query = alt + (z + 1) * pairs[:, :1]
-    hit = keys.take(np.searchsorted(keys, query), mode="clip") == query
-    shift = np.where(hit & (alt < z), 0, 1)
     deviations = []
     gather = 0  # widest (k, width) deviation gather of a player
     for p0, k in zip(player_ptr, counts):
         width = max(lengths[p0:p0 + k])
         gather = max(gather, k * width)
         priv = private[p0:p0 + k]
-        deviations.append((
-            table[p0:p0 + k, :width],
-            shift[:k * k].reshape(k, k, max_len)[:, :, :width],
-            np.array(priv, dtype=dtype) if min(priv) != max(priv) else None,
-        ))
-        shift = shift[k * k:]
+        deviations.append((table[p0:p0 + k, :width],
+                           np.array(priv, dtype=dtype) if min(priv) != max(priv) else None))
 
     # Per profile a chunk holds a congestion row and, for one player at a
     # time, its (k, width) deviation gather.
@@ -154,11 +143,10 @@ def encode_game(game: Game) -> GameArrays:
     chunk = max(1, min(chunk, _CHUNK_CELLS // (cells + -(-p * max_len // block))))
     # Congestion of each strategy alone, then of every suffix choice as the
     # outer sum over the suffix players, last player fastest.  The ghost
-    # column holds -1, so it is never the bottleneck and reads
-    # pow[-1 + shift 1] = 0 in deviations.
+    # column holds -1, so it is never the bottleneck.
     row0 = player_ptr[p]
-    single = np.bincount(keys[row0 * max_len:] - row0 * (z + 1),
-                         minlength=(len(flat) - row0) * (z + 1)).reshape(-1, z + 1)
+    keys = table[row0:] + (z + 1) * np.arange(len(flat) - row0)[:, None]
+    single = np.bincount(keys.ravel(), minlength=(len(flat) - row0) * (z + 1)).reshape(-1, z + 1)
     suffix_cong = single[player_ptr[n - 1] - row0:] if p < n else np.zeros((1, z + 1), np.int64)
     for i in range(n - 2, p - 1, -1):
         rows = single[player_ptr[i] - row0:player_ptr[i + 1] - row0]
@@ -177,7 +165,7 @@ def encode_game(game: Game) -> GameArrays:
         suffix_cong=suffix_cong,
         chunk=chunk,
         int64_safe=int64_safe,
-        pow_table=np.array(pow_exact, dtype=dtype),
+        pow_table=np.array(pow_exact[1:] + [0, 0], dtype=dtype),
     )
 
 
@@ -193,9 +181,10 @@ def scan_range(enc: GameArrays, start: int, stop: int) -> tuple[np.ndarray, np.n
     Congestion is additive over players, so a profile's congestion row is
     that of its prefix plus that of its suffix: one bincount counts the
     prefixes that touch the range, and one broadcast add against
-    ``suffix_cong`` gives every row (a game without prefix players slices
-    ``suffix_cong`` itself).  Each player's deviation costs then come
-    from one gather into the delay table plus the private counts.  Every
+    ``suffix_cong`` gives every row (a game without prefix players copies
+    a slice of ``suffix_cong``).  Each player is taken off its rows of the
+    stable profiles, its deviation costs come from one gather into the
+    delay table plus the private counts, and its rows are restored.  Every
     strategy is non-empty, so the bottleneck is at least 1 even where only
     private resources are used."""
     if not 0 <= start < stop <= enc.num_states:
@@ -218,17 +207,23 @@ def scan_range(enc: GameArrays, start: int, stop: int) -> tuple[np.ndarray, np.n
         cong = (prefix_cong[:, None, :] + enc.suffix_cong[None]).reshape(-1, z + 1)
         cong = cong[start - first * block:stop - first * block]
     else:
-        cong = enc.suffix_cong[start:stop]
+        cong = enc.suffix_cong[start:stop].copy()  # the players' rows are written
     bottlenecks = np.maximum(cong.max(axis=1), 1)
 
     # Players are checked in turn, each only on the profiles still stable.
     live = positions = np.arange(m)
     flat = cong.ravel()
-    for i, (alt, shift, private) in enumerate(enc.deviations):
+    for i, (alt, private) in enumerate(enc.deviations):
         cur = ((live + start) // enc.weights[i]) % enc.counts[i]
-        # dev[:, s] = cost of strategy s after moving there from cur: a slot
-        # already in cur keeps its congestion, any other gets one more user.
-        dev = enc.pow_table[flat[(live * (z + 1))[:, None, None] + alt] + shift[cur]].sum(axis=2)
+        rows = (live * (z + 1))[:, None]
+        # Take the player off its slots (a ghost -1 becomes -2), so one gather
+        # prices every strategy s: dev[:, s] sums (C^{-i} + 1)**M; then put
+        # the player back.
+        own = rows + alt[cur]
+        saved = flat[own]
+        flat[own] = saved - 1
+        dev = enc.pow_table[flat[rows[:, :, None] + alt]].sum(axis=2)
+        flat[own] = saved
         if private is not None:
             dev += private
         live = live[np.asarray(dev.min(axis=1) >= dev[positions[:len(live)], cur], dtype=bool)]

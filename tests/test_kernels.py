@@ -1,3 +1,4 @@
+import copy
 import itertools
 import json
 import math
@@ -6,12 +7,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from polybottleneck import generators, kernels, lower_bound
+from polybottleneck import equilibria, generators, kernels, lower_bound
 from polybottleneck.cli import main
 from polybottleneck.errors import PreconditionError
 from polybottleneck.game_core import Game, power_table, save_game
 
-from conftest import oracle_congestion, oracle_is_nash
+from conftest import oracle_all_profiles, oracle_congestion, oracle_is_nash
 
 
 def scan_all(enc, fn):
@@ -118,6 +119,11 @@ EDGE_GAMES = {
     "object_path": Game.build(
         7, 41, [[[0], [1, 2]], [[1], [0, 3, 4]], [[2, 5], [6], [0]]]
     ),
+    # player 0's strategies overlap and differ in length, so a current row
+    # with ghost slots shares a resource with an alternative
+    "overlap_with_ghost_slots": Game.build(
+        4, 2, [[[0], [0, 1], [1, 2, 3]], [[0, 2], [3]], [[1], [2]]]
+    ),
     # private resources 5 and 6 of player 0 each sit in two of its
     # strategies, so a deviation may keep some of them
     "private_in_several_strategies": Game.build(
@@ -222,6 +228,56 @@ class TestEncoding:
     def test_block_edge_games_have_their_shape(self, name):
         enc = kernels.encode_game(EDGE_GAMES[name])
         assert (enc.prefix_players, len(enc.suffix_cong)) == BLOCK_SHAPES[name]
+
+    def test_many_strategies_take_memory_linear_in_them(self):
+        # 600 strategies of 6 out of 60 resources, all shared with the
+        # second player: a table over strategy pairs would hold 600 * 600 * 6
+        # cells (about 17 MB in int64).
+        rng = np.random.default_rng(14)
+        game = Game.build(60, 2, [
+            [sorted(int(r) for r in rng.choice(60, 6, replace=False)) for _ in range(600)],
+            [list(range(0, 20)), list(range(20, 40)), list(range(40, 60))],
+        ])
+        enc = kernels.encode_game(game)
+        assert enc.num_used == 60
+        assert array_bytes(list(vars(enc).values())) < 2**20
+        report = equilibria.price_of_anarchy(game)
+        profiles = list(oracle_all_profiles(game))
+        assert report.C_star == min(max(oracle_congestion(game, q)) for q in profiles)
+        assert oracle_is_nash(game, report.worst_nash)
+        assert report.C == max(oracle_congestion(game, report.worst_nash))
+        mask = scan_all(enc, kernels.nash_mask_range)
+        assert report.nash_count == int(mask.sum())
+        for idx in rng.choice(enc.num_states, 40, replace=False):
+            profile = kernels.profile_from_index(enc, int(idx))
+            assert bool(mask[idx]) == oracle_is_nash(game, profile)
+
+    @pytest.mark.parametrize("name", ["block_all_suffix", "block_mixed_radix"])
+    def test_scan_leaves_the_encoding_untouched(self, name):
+        # The scan writes into the congestion rows of its chunk; on a game
+        # without prefix players those rows start as a slice of suffix_cong.
+        # Read-only arrays make even a write that is later undone raise, so
+        # encodings can be shared by concurrent scans.
+        enc = kernels.encode_game(EDGE_GAMES[name])
+        before = copy.deepcopy(vars(enc))
+
+        def arrays(value):
+            if isinstance(value, np.ndarray):
+                yield value
+            elif isinstance(value, (list, tuple)):
+                for v in value:
+                    yield from arrays(v)
+
+        for a in arrays(list(vars(enc).values())):
+            a.flags.writeable = False
+        scan_all(enc, kernels.nash_mask_range)
+        assert before.keys() == vars(enc).keys()
+        for key, value in before.items():
+            old, new = list(arrays(value)), list(arrays(getattr(enc, key)))
+            assert len(old) == len(new), key
+            assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(old, new)), key
+            if not old:
+                assert value == getattr(enc, key), key
 
     def test_int64_guard_trips_on_huge_delays(self):
         game = Game.build(2, 40, [[[0, 1]], [[0], [1]], [[0], [1]]])
