@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import IO, Any, Iterable, Sequence
+from typing import IO, Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -165,17 +165,19 @@ def power_table(degree: int, top: int) -> list[int]:
 
 
 def switch_cost(
-    counts: Sequence[int], current: Sequence[int], target: Iterable[int], degree: int
+    counts: Sequence[int] | Mapping[int, int], current: Sequence[int],
+    target: Iterable[int], degree: int,
 ) -> int:
     """Cost of playing ``target`` after a unilateral switch from ``current``.
 
     This is the game's one cost rule.  A resource in both strategies keeps its
     congestion; a newly adopted one carries one more user.  So
     ``target == current`` gives the cost paid now, and ``current == ()`` the
-    cost of joining on top of the given congestion.  ``current`` is only
-    searched with ``in``: strategies are short, so a tuple is fastest.  Each
-    term is read from ``power_table``; a count outside the table (negative
-    included, which must not index from the end) goes through it first.
+    cost of joining on top of the given congestion.  ``counts`` may be a
+    sequence or an int-keyed mapping (a ``Counter`` reads 0 off its keys).
+    ``current`` is only searched with ``in``: strategies are short, so a tuple
+    is fastest.  Each term is read from ``power_table``, through which a count
+    outside the table (negative included: never index from the end) goes first.
     """
     table = _POWERS.get(degree) or power_table(degree, 0)
     size = len(table)

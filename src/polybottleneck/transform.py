@@ -20,16 +20,14 @@ Terminology used here:
 from __future__ import annotations
 
 import math
-from collections import defaultdict, deque
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterable, Sequence
 
 from . import equilibria
 from .errors import DominationError, PreconditionError, StructuralError
-from .game_core import (
-    Game, Profile, _congestion, bottleneck, congestion_of, delay, switch_cost, validate_profile,
-)
+from .game_core import Game, _congestion, bottleneck, delay, switch_cost, validate_profile
 
 
 @dataclass
@@ -65,8 +63,8 @@ class PhaseState:
 class TwoStrategyGame:
     """Mutable transformation workspace.
 
-    The profile in which every player plays its equilibrium strategy must be
-    a weak Nash equilibrium of the induced game at every step; the
+    At every step no player's tracked strategy may be strictly cheaper than
+    its equilibrium one (one more user on each newly adopted resource); the
     equilibrium congestion vector never changes.
     """
 
@@ -209,19 +207,6 @@ class TwoStrategyGame:
         self._eq_moves.clear()
 
     # -- views ----------------------------------------------------------------
-
-    def induced_game(self) -> tuple[Game, Profile]:
-        """The game where each player has its two strategies, plus the profile
-        in which everyone plays the equilibrium one."""
-        players = []
-        for pid in self.player_ids():
-            p = self.players[pid]
-            if not p.opt_strategy or p.opt_strategy == p.eq_strategy:
-                players.append([list(p.eq_strategy)])
-            else:
-                players.append([list(p.eq_strategy), list(p.opt_strategy)])
-        game = Game.build(self.num_resources, self.degree, players)
-        return game, tuple([0] * len(players))
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -735,11 +720,11 @@ def transform_to_singletons(
 
 @dataclass(frozen=True)
 class DominationReport:
-    resources_ok: bool
-    degree_ok: bool
-    eq_congestion_ok: bool
-    equilibrium_ok: bool
-    opt_bottleneck: int
+    resources_ok: bool  # same num_resources, every played or tracked id in range
+    degree_ok: bool  # same degree
+    eq_congestion_ok: bool  # the roster's equilibrium congestion is the game's
+    equilibrium_ok: bool  # no tracked strategy strictly cheaper than the played one
+    opt_bottleneck: int  # most players tracked to one resource
     original_opt_bottleneck: int
     growth: Fraction  # tracked optimal bottleneck / original optimal bottleneck
     not_below_original: bool
@@ -778,33 +763,44 @@ def verify_domination(
     tsg: TwoStrategyGame,
     strict: bool = True,
 ) -> DominationReport:
-    """Check the transformed game against the domination contract:
-    no new resources, same degree, identical equilibrium congestion, everyone
-    still stable, and tracked optimal bottleneck within 7x the original."""
-    used = set()
+    """Check the transformed game against the domination contract: no new
+    resources, same degree, identical equilibrium congestion, everyone still
+    stable, and tracked optimal bottleneck within 7x the original.  Every flag
+    is recounted from ``tsg.players`` (one count of played resources, one of
+    tracked ones), not read from the workspace's congestion; a broken roster
+    reads false, or raises ``DominationError`` when ``strict``."""
+    played: Counter[int] = Counter()
+    tracked: Counter[int] = Counter()
     for p in tsg.players.values():
-        used.update(p.eq_strategy)
-        used.update(p.opt_strategy)
-    resources_ok = (
-        tsg.num_resources == game.num_resources and len(used) <= game.num_resources
+        played.update(p.eq_strategy)
+        tracked.update(p.opt_strategy)
+    resources_ok = tsg.num_resources == game.num_resources and all(
+        0 <= r < game.num_resources for r in played.keys() | tracked.keys()
     )
     degree_ok = tsg.degree == game.degree
-    eq_congestion_ok = tsg.eq_congestion() == congestion_of(game, nash_profile)
-    induced, eq_profile = tsg.induced_game()
-    equilibrium_ok = equilibria.is_nash(induced, eq_profile)
-    tracked = tsg.tracked_opt_bottleneck()
+    nash_profile = validate_profile(game, nash_profile)
+    eq_congestion_ok = played == Counter(
+        r for i in range(game.num_players) for r in game.chosen(nash_profile, i)
+    )
+    equilibrium_ok = all(
+        not p.opt_strategy
+        or switch_cost(played, p.eq_strategy, p.eq_strategy, tsg.degree)
+        <= switch_cost(played, p.eq_strategy, p.opt_strategy, tsg.degree)
+        for p in tsg.players.values()
+    )
+    opt_bottleneck = max(tracked.values(), default=0)
     original = tsg.opt_bottleneck
-    growth = Fraction(tracked, original) if original else Fraction(0)
+    growth = Fraction(opt_bottleneck, original) if original else Fraction(0)
     report = DominationReport(
         resources_ok=resources_ok,
         degree_ok=degree_ok,
         eq_congestion_ok=eq_congestion_ok,
         equilibrium_ok=equilibrium_ok,
-        opt_bottleneck=tracked,
+        opt_bottleneck=opt_bottleneck,
         original_opt_bottleneck=original,
         growth=growth,
-        not_below_original=tracked >= original,
-        within_factor_seven=tracked <= 7 * original,
+        not_below_original=opt_bottleneck >= original,
+        within_factor_seven=opt_bottleneck <= 7 * original,
     )
     if strict and not report.all_ok:
         raise DominationError(f"domination checks failed: {report.to_dict()}")

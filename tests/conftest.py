@@ -85,6 +85,24 @@ def oracle_nash_profiles(game: Game) -> list[tuple]:
     return [p for p in oracle_all_profiles(game) if oracle_is_nash(game, p)]
 
 
+def stable_from_scratch(tsg):
+    """Every player's stability, recomputed from the roster alone: neither the
+    workspace's congestion vector nor its cost rule is used."""
+    counts = [0] * tsg.num_resources
+    for p in tsg.players.values():
+        for r in p.eq_strategy:
+            counts[r] += 1
+
+    def paid(strategy, current):
+        return sum(oracle_power(counts[r] + (r not in current), tsg.degree) for r in strategy)
+
+    return all(
+        not p.opt_strategy
+        or paid(p.eq_strategy, p.eq_strategy) <= paid(p.opt_strategy, p.eq_strategy)
+        for p in tsg.players.values()
+    )
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)

@@ -25,7 +25,7 @@ from polybottleneck.transform import (
     verify_domination,
 )
 
-from conftest import oracle_is_nash, oracle_power
+from conftest import oracle_power, stable_from_scratch
 
 
 def family_tsg(n=4, degree=1):
@@ -64,8 +64,7 @@ class TestInit:
             game = generators.random_game(rng)
             report = equilibria.price_of_anarchy(game)
             tsg = init_two_strategy(game, report.worst_nash, report.optimal)
-            induced, eq_profile = tsg.induced_game()
-            assert equilibria.is_nash(induced, eq_profile)
+            assert stable_from_scratch(tsg)
 
 
 class TestClean:
@@ -217,8 +216,7 @@ def test_transform_from_random_nash_state(seed, data):
     for p in tsg.players.values():
         if not p.is_singleton:
             assert all(tsg._eq_cong[r] <= tsg.threshold for r in p.eq_strategy)
-    induced, eq_profile = tsg.induced_game()
-    assert oracle_is_nash(induced, eq_profile)
+    assert stable_from_scratch(tsg)
     assert verify_domination(game, s_eq, tsg, strict=False).all_ok
 
 
@@ -361,24 +359,6 @@ def assert_index_matches_roster(tsg):
 
 def strategies_of(tsg):
     return {pid: (p.eq_strategy, p.opt_strategy) for pid, p in tsg.players.items()}
-
-
-def stable_from_scratch(tsg):
-    """Every player's stability, recomputed from the roster alone: neither the
-    workspace's congestion vector nor its cost rule is used."""
-    counts = [0] * tsg.num_resources
-    for p in tsg.players.values():
-        for r in p.eq_strategy:
-            counts[r] += 1
-
-    def paid(strategy, current):
-        return sum(oracle_power(counts[r] + (r not in current), tsg.degree) for r in strategy)
-
-    return all(
-        not p.opt_strategy
-        or paid(p.eq_strategy, p.eq_strategy) <= paid(p.opt_strategy, p.eq_strategy)
-        for p in tsg.players.values()
-    )
 
 
 def check_concludes_stable(tsg):
@@ -638,9 +618,8 @@ class TestFullTransform:
                 if not p.is_singleton:
                     for r in p.eq_strategy:
                         assert tsg._eq_cong[r] <= tsg.threshold
-            # the induced state is still a weak equilibrium (brute force)
-            induced, eq_profile = tsg.induced_game()
-            assert oracle_is_nash(induced, eq_profile)
+            # every player is still stable (recounted from the roster)
+            assert stable_from_scratch(tsg)
 
     def test_no_new_resources(self):
         rng = np.random.default_rng(11)
@@ -671,14 +650,40 @@ class TestVerifyDomination:
             assert dom.all_ok
             assert dom.opt_bottleneck <= 7 * dom.original_opt_bottleneck
 
-    def test_tampered_game_fails(self):
-        rng = np.random.default_rng(5)
-        game, s_eq, s_opt = generators.forced_congestion_game(rng, degree=1)
+    @pytest.mark.parametrize("case, flag", [
+        ("eq_rewritten_in_place", "eq_congestion_ok"),
+        ("tracked_id_past_range", "resources_ok"),
+        ("tracked_id_negative", "resources_ok"),
+        ("hub_retracked_to_idle", "equilibrium_ok"),
+        ("tracked_stacked", "within_factor_seven"),
+    ])
+    def test_tampered_game_fails(self, case, flag):
+        game, s_eq, s_opt = generators.forced_congestion_game(np.random.default_rng(5), degree=1)
         tsg = transform_to_singletons(game, s_eq, s_opt)
-        # force a fake tracked bottleneck by stacking one resource
-        victim = next(iter(tsg.players.values()))
-        victim.opt_strategy = tuple([victim.opt_strategy[0]] * 1)
-        for p in tsg.players.values():
-            p.opt_strategy = (victim.opt_strategy[0],)
+        assert verify_domination(game, s_eq, tsg).all_ok
+        tamper(case, game, tsg)
+        report = verify_domination(game, s_eq, tsg, strict=False)
+        assert [k for k, v in report.to_dict().items() if v is False] == [flag, "all_ok"]
         with pytest.raises(DominationError):
             verify_domination(game, s_eq, tsg)
+
+
+def tamper(case, game, tsg):
+    """Break one domination flag of a transformed roster.  The player edited
+    is the lowest-id singleton on the equilibrium bottleneck resource (the
+    hub); the idle resource is the lowest one that no one plays."""
+    cong = tsg.eq_congestion()
+    hub, idle = cong.index(tsg.eq_bottleneck), cong.index(0)
+    pid = tsg.singles_on(hub)[0]
+    player = tsg.players[pid]
+    if case == "eq_rewritten_in_place":  # past add_player and remove_player
+        player.eq_strategy = (idle,)
+    elif case == "tracked_id_past_range":
+        tsg.retrack(pid, player.opt_strategy + (game.num_resources,))
+    elif case == "tracked_id_negative":
+        tsg.retrack(pid, player.opt_strategy + (-1,))
+    elif case == "hub_retracked_to_idle":  # a detour at congestion 1 beats the hub
+        tsg.retrack(pid, (idle,))
+    elif case == "tracked_stacked":  # everyone tracked to the hub: stable, but 7x exceeded
+        for qid in tsg.player_ids():
+            tsg.retrack(qid, (hub,))
