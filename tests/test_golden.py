@@ -23,6 +23,8 @@ CASES = {
     "analyze_tight12": ["analyze", "@tight12.json"],
     "analyze_forced_d1": ["analyze", "@forced_d1.json"],
     "analyze_random_d24": ["analyze", "@random_d24.json"],
+    "analyze_tight12_shuffled": ["analyze", "@tight12_shuffled.json"],
+    "analyze_interleaved_types": ["analyze", "@interleaved_types.json"],
     "suite_count10_seed7": ["suite", "--count", "10", "--seed", "7"],
     "suite_object_path": ["suite", "--count", "5", "--seed", "3", "--degrees", "30", "41"],
     "sweep_degree1": ["sweep", "--degree", "1", "--n-range", "2..10"],
@@ -95,6 +97,20 @@ def regenerate() -> None:
     players = [[sorted(int(r) for r in rng.choice(z, int(rng.integers(1, 4)), replace=False))
                 for _ in range(2)] for _ in range(13)]
     save_game(Game.build(z, 24, players), str(GOLDEN / "random_d24.json"))
+    # The tight instance at n=12 with resource ids and player order permuted
+    # as the benchmark's first tight_scan job (seed 1) does: player 0, alone
+    # in its type, lands between members of the other type.
+    base = lower_bound.generate(12, 1).game
+    rng = np.random.default_rng([1, 1])
+    relabel = rng.permutation(base.num_resources)
+    order = rng.permutation(base.num_players)
+    players = [[sorted(int(relabel[r]) for r in s) for s in base.strategies[i]] for i in order]
+    save_game(Game.build(base.num_resources, 1, players), str(GOLDEN / "tight12_shuffled.json"))
+    # Players alternate between two types of four; four orbits tie on the
+    # worst Nash bottleneck and nine on the optimum, and in both the orbit
+    # scanned first is not the one holding the lexicographically first profile.
+    a, b = [[2, 4], [0, 3], [3, 5]], [[0, 2], [3]]
+    save_game(Game.build(6, 1, [a, b] * 4), str(GOLDEN / "interleaved_types.json"))
     codes = {}
     for name, argv in sorted(CASES.items()):
         codes[name], out, err = run_case(argv)
