@@ -186,10 +186,12 @@ def build_parser() -> argparse.ArgumentParser:
         "price of anarchy, game transformation, and bound verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    cap_help = ("cap on the orbits scanned, the profiles up to swaps of "
+                "interchangeable players (default 10**7)")
 
     p = sub.add_parser("analyze", help="equilibria and price of anarchy of a game file")
     p.add_argument("game", help="path to a game JSON file")
-    p.add_argument("--cap", type=int, default=None, help="state-count cap")
+    p.add_argument("--cap", type=int, default=None, help=cap_help)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("suite", help="randomized verification suite")
@@ -199,20 +201,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-resources", type=int, default=6)
     p.add_argument("--max-strategies", type=int, default=3)
     p.add_argument("--degrees", type=int, nargs="+", default=[1, 2, 3])
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=int, default=None, help=cap_help)
     p.set_defaults(func=cmd_suite)
 
     p = sub.add_parser("transform", help="rewrite a game so over-congested "
                        "resources host only singleton players")
     p.add_argument("game")
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=int, default=None, help=cap_help)
     p.add_argument("--trace", action="store_true",
                    help="emit one JSON line per operation on stderr")
     p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("expansion", help="resource-graph expansion ledger and bounds")
     p.add_argument("game")
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=int, default=None, help=cap_help)
     p.add_argument("--transform-first", action="store_true",
                    help="transform the game before building the graph")
     p.set_defaults(func=cmd_expansion)
@@ -221,13 +223,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="number of players")
     p.add_argument("--degree", type=int, required=True, help="delay polynomial degree")
     p.add_argument("--out", default=None, help="write the game file here")
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=int, default=None, help=cap_help)
     p.set_defaults(func=cmd_lower_bound)
 
     p = sub.add_parser("sweep", help="lower-bound family sweep as a TSV table")
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--n-range", required=True, help="inclusive range, e.g. 2..6")
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=int, default=None, help=cap_help)
     p.set_defaults(func=cmd_sweep)
     return parser
 

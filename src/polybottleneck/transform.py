@@ -23,6 +23,7 @@ import math
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Any, Iterable, Sequence
 
 from . import equilibria
@@ -164,7 +165,11 @@ class TwoStrategyGame:
         return counts
 
     def tracked_opt_bottleneck(self) -> int:
-        return bottleneck(self.opt_congestion())
+        """Most players tracked to one resource, recounted from the roster as
+        ``verify_domination`` does: an id outside ``[0, num_resources)`` is
+        counted on its own, for ``resources_ok`` to flag, never on another."""
+        tracked = Counter(chain.from_iterable(p.opt_strategy for p in self.players.values()))
+        return max(tracked.values(), default=0)
 
     def cost(self, pid: int) -> int:
         eq = self.players[pid].eq_strategy
@@ -769,11 +774,8 @@ def verify_domination(
     is recounted from ``tsg.players`` (one count of played resources, one of
     tracked ones), not read from the workspace's congestion; a broken roster
     reads false, or raises ``DominationError`` when ``strict``."""
-    played: Counter[int] = Counter()
-    tracked: Counter[int] = Counter()
-    for p in tsg.players.values():
-        played.update(p.eq_strategy)
-        tracked.update(p.opt_strategy)
+    played = Counter(chain.from_iterable(p.eq_strategy for p in tsg.players.values()))
+    tracked = Counter(chain.from_iterable(p.opt_strategy for p in tsg.players.values()))
     resources_ok = tsg.num_resources == game.num_resources and all(
         0 <= r < game.num_resources for r in played.keys() | tracked.keys()
     )

@@ -85,6 +85,15 @@ def oracle_nash_profiles(game: Game) -> list[tuple]:
     return [p for p in oracle_all_profiles(game) if oracle_is_nash(game, p)]
 
 
+def oracle_poa(game: Game) -> tuple[int, int, int, tuple, tuple]:
+    """(C, C*, Nash count, worst Nash profile, optimal profile) over every
+    profile; ties go to the lexicographically first profile."""
+    nash = oracle_nash_profiles(game)
+    worst = max(nash, key=lambda p: (max(oracle_congestion(game, p)), [-c for c in p]))
+    optimal, c_star = oracle_optimal(game)
+    return max(oracle_congestion(game, worst)), c_star, len(nash), worst, optimal
+
+
 def stable_from_scratch(tsg):
     """Every player's stability, recomputed from the roster alone: neither the
     workspace's congestion vector nor its cost rule is used."""

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polybottleneck import generators, lower_bound
+from polybottleneck import generators, kernels, lower_bound
 from polybottleneck.equilibria import (
     best_response,
     best_response_dynamics,
@@ -24,6 +25,7 @@ from conftest import (
     oracle_nash_profiles,
     oracle_optimal,
     oracle_player_cost,
+    oracle_poa,
     oracle_potential,
 )
 
@@ -160,9 +162,14 @@ class TestDynamics:
             best_response_dynamics(game, (0, 0), max_steps=0)
 
 
+def chain(n):
+    """n players of n distinct types: player i picks resource i or i + 1."""
+    return Game.build(n + 1, 1, [[[i], [i + 1]] for i in range(n)])
+
+
 class TestEnumeration:
     def test_cap_is_enforced(self):
-        game = Game.build(2, 1, [[[0], [1]]] * 10)
+        game = chain(10)
         with pytest.raises(StateSpaceTooLargeError):
             enumerate_nash(game, cap=100)
         with pytest.raises(StateSpaceTooLargeError):
@@ -171,13 +178,69 @@ class TestEnumeration:
             price_of_anarchy(game, cap=100)
 
     def test_cap_env_default(self):
-        # 2**10 = 1024 states fit: ten players split five and five at best
-        game = Game.build(2, 1, [[[0], [1]]] * 10)
-        assert optimal_profile(game, cap=2000)[1] == 5
-        # without cap= the default cap of 10**7 states applies: 2**24 is over
-        too_big = Game.build(2, 1, [[[0], [1]]] * 24)
+        # 2**10 = 1024 states fit: every player can sit alone
+        assert optimal_profile(chain(10), cap=2000)[1] == 1
+        # without cap= the default cap of 10**7 applies: 2**24 orbits are over
         with pytest.raises(StateSpaceTooLargeError):
-            price_of_anarchy(too_big)
+            price_of_anarchy(chain(24))
+
+    def test_cap_counts_orbits_of_identical_players(self):
+        # 24 identical players have 25 orbits: the default cap lets them
+        # through, and only the even split is stable
+        report = price_of_anarchy(Game.build(2, 1, [[[0], [1]]] * 24))
+        assert (report.C, report.C_star) == (12, 12)
+        assert report.nash_count == math.comb(24, 12)
+        assert report.worst_nash == report.optimal == (0,) * 12 + (1,) * 12
+        # Nash enumeration lists every profile, so its cap counts profiles
+        with pytest.raises(StateSpaceTooLargeError):
+            enumerate_nash(Game.build(2, 1, [[[0], [1]]] * 24))
+
+    def test_nash_count_beyond_int64(self):
+        report = price_of_anarchy(Game.build(2, 1, [[[0], [1]]] * 70))
+        assert report.nash_count == math.comb(70, 35) > 2**63
+
+
+def template_game(seed: int) -> Game:
+    """Two or three template players copied into random positions.  Each
+    template holds strategies over five shared resources, and a template
+    with a detour gives every copy its own fresh detour resources, so
+    copies agree only once private resources become counts."""
+    rng = np.random.default_rng(seed)
+    shared = 5
+    templates = []
+    for _ in range(int(rng.integers(2, 4))):
+        strategies = [sorted(int(r) for r in rng.choice(shared, int(rng.integers(1, 3)),
+                                                         replace=False))
+                      for _ in range(int(rng.integers(1, 4)))]
+        templates.append((strategies, int(rng.integers(0, 3))))  # detour length
+    order = [int(t) for t in rng.integers(0, len(templates), int(rng.integers(3, 7)))]
+    # at most 400 profiles keep the oracle quick
+    while math.prod(len(templates[t][0]) + (templates[t][1] > 0) for t in order) > 400:
+        order.pop()
+    players, fresh = [], shared
+    for t in order:
+        strategies, detour = templates[t]
+        if detour:
+            strategies = strategies + [[0] + list(range(fresh, fresh + detour))]
+            fresh += detour
+        players.append(strategies)
+    return Game.build(fresh, int(rng.integers(1, 3)), players)
+
+
+class TestOrbits:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_repeated_types_match_the_oracle(self, seed):
+        game = template_game(seed)
+        report = price_of_anarchy(game)
+        C, c_star, count, worst, optimal = oracle_poa(game)
+        assert (report.C, report.C_star, report.nash_count) == (C, c_star, count)
+        assert (report.worst_nash, report.optimal) == (worst, optimal)
+        assert enumerate_nash(game) == oracle_nash_profiles(game)
+
+    def test_templates_repeat_types(self):
+        sizes = [len(kernels.encode_game(template_game(seed)).members) for seed in range(40)]
+        games = [template_game(seed).num_players for seed in range(40)]
+        assert sum(t < n for t, n in zip(sizes, games)) >= 30
 
 
 class TestOptimal:

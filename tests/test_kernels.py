@@ -12,13 +12,13 @@ from polybottleneck.cli import main
 from polybottleneck.errors import PreconditionError
 from polybottleneck.game_core import Game, power_table, save_game
 
-from conftest import oracle_all_profiles, oracle_congestion, oracle_is_nash
+from conftest import oracle_all_profiles, oracle_congestion, oracle_is_nash, oracle_poa
 
 
 def scan_all(enc, fn):
     chunks = []
-    for start in range(0, enc.num_states, 7):  # odd chunk size on purpose
-        stop = min(start + 7, enc.num_states)
+    for start in range(0, enc.num_orbits, 7):  # odd chunk size on purpose
+        stop = min(start + 7, enc.num_orbits)
         chunks.append(fn(enc, start, stop))
     return np.concatenate(chunks)
 
@@ -144,6 +144,12 @@ EDGE_GAMES = {
     "object_path_no_shared_two_players": Game.build(
         5, 41, [[[0], [1, 2]], [[3], [4], [3, 4]]]
     ),
+    # a three-strategy type of three members interleaved with a two-member
+    # type: compositions hold one, two or three distinct strategies
+    "three_strategy_type": Game.build(6, 2, [
+        [[0], [1, 2], [3]], [[0, 3], [4], [2, 5]], [[0], [1, 2], [3]],
+        [[0, 3], [4], [2, 5]], [[0], [1, 2], [3]],
+    ]),
     # the tight family: every resource but resource 0 is a private detour hop
     **{f"tight_n{n}_d{d}": lower_bound.generate(n, d).game for d in (1, 2) for n in range(2, 7)},
     # Suffix blocks (see BLOCK_SHAPES).  Counts 3, 1, 2, 4, 2 over wide shared
@@ -174,15 +180,23 @@ EDGE_GAMES = {
         [[0, 1], [2]], [[1], [2, 3], [0]],
         [[s % 12, (s + 1) % 12, (s + 3) % 12, (s + 5) % 12] for s in range(40)], [[4, 5, 6, 7]],
     ]),
+    # a three-member type with 20 compositions, interleaved with a player of
+    # six strategies: 20 * 6 orbits exceed sqrt(CHUNK), so the type sits in
+    # the prefix and its congestion comes from its compositions there
+    "block_multi_type_prefix": Game.build(5, 2, [
+        [[0], [1], [2], [0, 3]], [[0], [1], [2], [3], [1, 2], [0, 4]],
+        [[0], [1], [2], [0, 3]], [[0], [1], [2], [0, 3]],
+    ]),
 }
 
-# name -> (prefix players, suffix states B) under the default chunk budget.
+# name -> (prefix types, suffix choices B) under the default chunk budget.
 BLOCK_SHAPES = {
     "block_mixed_radix": (3, 8),
     "block_all_suffix": (0, 48),
     "block_single_suffix_player": (2, 40),
     "block_count1_both_ends": (3, 40),
     "block_empty_suffix": (3, 1),
+    "block_multi_type_prefix": (1, 6),
 }
 
 
@@ -190,15 +204,55 @@ class TestEncoding:
     def test_profile_index_round_trip(self):
         game = Game.build(3, 1, [[[0], [1]], [[2], [0], [1]], [[0, 1]]])
         enc = kernels.encode_game(game)
-        assert enc.num_states == 6
+        assert enc.num_orbits == 6
         expected = list(itertools.product(range(2), range(3), range(1)))
         assert [kernels.profile_from_index(enc, idx) for idx in range(6)] == expected
 
     def test_lexicographic_order(self):
-        game = Game.build(2, 1, [[[0], [1]], [[0], [1]]])
+        game = Game.build(2, 1, [[[0], [1]], [[1], [0]]])
         enc = kernels.encode_game(game)
         profiles = [kernels.profile_from_index(enc, i) for i in range(4)]
         assert profiles == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+    def test_identical_players_share_orbits(self):
+        # two identical players: three orbits, represented in ascending order
+        game = Game.build(2, 1, [[[0], [1]], [[0], [1]]])
+        enc = kernels.encode_game(game)
+        assert enc.num_orbits == 3
+        profiles = [kernels.profile_from_index(enc, i) for i in range(3)]
+        assert profiles == [(0, 0), (0, 1), (1, 1)]
+        assert list(kernels.orbit_sizes(enc, np.arange(3))) == [1, 2, 1]
+
+    def test_interleaved_types_order_orbits_by_first_member(self):
+        # types A = players 0, 2 and B = player 1: A varies slowest, and an
+        # orbit's representative seats A's members in ascending order
+        a, b = [[0], [1], [2]], [[0, 1], [2]]
+        enc = kernels.encode_game(Game.build(3, 1, [a, b, a]))
+        assert enc.members == [(0, 2), (1,)] and not enc.in_order
+        reps = [kernels.profile_from_index(enc, i) for i in range(enc.num_orbits)]
+        assert reps[:3] == [(0, 0, 0), (0, 1, 0), (0, 0, 1)]
+        assert len(set(reps)) == enc.num_orbits == 6 * 2
+        assert kernels.first_orbit(enc, [1, 2]) == 2
+
+    @pytest.mark.parametrize("m, k", [(2, 1), (2, 2), (3, 2), (2, 3), (3, 3), (4, 3), (2, 5), (3, 4)])
+    def test_orbit_tables_list_every_composition_once(self, m, k):
+        # descending lexicographic order of the member counts, whichever of
+        # the two listings (counts for k <= m, representatives otherwise)
+        expected = sorted((c for c in itertools.product(range(m + 1), repeat=k) if sum(c) == m),
+                          reverse=True)
+        held, mult = kernels._orbit_tables(m, k)
+        assert held.shape == mult.shape == (len(expected), min(m, k))
+        for h, c, comp in zip(held, mult, expected):
+            assert [int(x) for x in np.bincount(h, weights=c, minlength=k)] == list(comp)
+            strategies = [s for s in range(k) if comp[s]]
+            assert list(h) == strategies + [strategies[-1]] * (len(h) - len(strategies))
+
+    def test_private_detours_count_not_ids(self):
+        # each tight-family player but player 0 has its own detour ids, yet
+        # they form one type: two orbits for player 0 times n for the rest
+        enc = kernels.encode_game(lower_bound.generate(7, 2).game)
+        assert [len(m) for m in enc.members] == [1, 6]
+        assert enc.num_orbits == 2 * 7 and enc.in_order
 
     def test_memory_independent_of_num_resources(self, tmp_path, capsys):
         # the degree-1 tight instance at n=2, spread over a million resource ids
@@ -207,7 +261,7 @@ class TestEncoding:
             10**6, 1, [[[ids[0]], [ids[0], ids[1]]], [[ids[0]], [ids[2], ids[3]]]]
         )
         enc = kernels.encode_game(game)
-        assert enc.num_states == 4
+        assert enc.num_orbits == 4
         assert array_bytes(list(vars(enc).values())) < 64 * 1024
         path = str(tmp_path / "sparse.json")
         save_game(game, path)
@@ -248,7 +302,7 @@ class TestEncoding:
         assert report.C == max(oracle_congestion(game, report.worst_nash))
         mask = scan_all(enc, kernels.nash_mask_range)
         assert report.nash_count == int(mask.sum())
-        for idx in rng.choice(enc.num_states, 40, replace=False):
+        for idx in rng.choice(enc.num_orbits, 40, replace=False):
             profile = kernels.profile_from_index(enc, int(idx))
             assert bool(mask[idx]) == oracle_is_nash(game, profile)
 
@@ -294,7 +348,7 @@ class TestBackendAgreement:
         enc = kernels.encode_game(game)
         bottlenecks = scan_all(enc, kernels.bottlenecks_range)
         mask = scan_all(enc, kernels.nash_mask_range)
-        for idx in range(enc.num_states):
+        for idx in range(enc.num_orbits):
             profile = kernels.profile_from_index(enc, idx)
             assert bottlenecks[idx] == max(oracle_congestion(game, profile))
             assert bool(mask[idx]) == oracle_is_nash(game, profile)
@@ -306,7 +360,7 @@ class TestBackendAgreement:
         enc = kernels.encode_game(game)
         assert not enc.int64_safe
         mask = scan_all(enc, kernels.nash_mask_range)
-        for idx in range(enc.num_states):
+        for idx in range(enc.num_orbits):
             profile = kernels.profile_from_index(enc, idx)
             assert bool(mask[idx]) == oracle_is_nash(game, profile)
 
@@ -317,10 +371,10 @@ class TestBackendAgreement:
         assert enc.int64_safe == (not name.startswith("object_path"))
         bottlenecks = scan_all(enc, kernels.bottlenecks_range)
         mask = scan_all(enc, kernels.nash_mask_range)
-        whole = kernels.scan_range(enc, 0, enc.num_states)
+        whole = kernels.scan_range(enc, 0, enc.num_orbits)
         assert np.array_equal(whole[0], bottlenecks)
         assert np.array_equal(whole[1], mask)
-        for idx in range(enc.num_states):
+        for idx in range(enc.num_orbits):
             profile = kernels.profile_from_index(enc, idx)
             assert bottlenecks[idx] == max(oracle_congestion(game, profile))
             assert bool(mask[idx]) == oracle_is_nash(game, profile)
@@ -332,7 +386,8 @@ class TestBackendAgreement:
     )
     def test_loop_kernels_match_scan_range(self, game):
         # The loops read the game itself, with its original resource ids, so
-        # they do not share the kernel's encoding.
+        # they do not share the kernel's encoding.  They index profiles, so
+        # each orbit is compared at its representative's profile index.
         enc = kernels.encode_game(game)
         counts = [len(s) for s in game.strategies]
         weights = [math.prod(counts[i + 1:]) for i in range(len(counts))]
@@ -346,20 +401,34 @@ class TestBackendAgreement:
         )
         z = game.num_resources
         pow_table = np.array(power_table(game.degree, game.num_players + 1), dtype=np.int64)
-        for start in range(0, enc.num_states, 7):
-            stop = min(start + 7, enc.num_states)
+        total = game.num_states()
+        loop_b = bottlenecks_loop(*args, z, 0, total)
+        loop_m = nash_mask_loop(*args, pow_table, z, 0, total)
+        for start in range(0, enc.num_orbits, 7):
+            stop = min(start + 7, enc.num_orbits)
             bottlenecks, mask = kernels.scan_range(enc, start, stop)
-            loop_b = bottlenecks_loop(*args, z, start, stop)
-            loop_m = nash_mask_loop(*args, pow_table, z, start, stop)
-            assert np.array_equal(loop_b, bottlenecks)
-            assert np.array_equal(loop_m, mask)
+            reps = [sum(c * w for c, w in zip(kernels.profile_from_index(enc, idx), weights))
+                    for idx in range(start, stop)]
+            assert np.array_equal(loop_b[reps], bottlenecks)
+            assert np.array_equal(loop_m[reps], mask)
+        if len(enc.members) == game.num_players:
+            assert enc.num_orbits == total  # so every profile was compared
+
+    @pytest.mark.parametrize("name", sorted(EDGE_GAMES))
+    def test_edge_totals_match_full_enumeration(self, name):
+        game = EDGE_GAMES[name]
+        report = equilibria.price_of_anarchy(game)
+        C, c_star, count, worst, optimal = oracle_poa(game)
+        assert (report.C, report.C_star, report.nash_count) == (C, c_star, count)
+        assert (report.worst_nash, report.optimal) == (worst, optimal)
 
 
 class TestBlocks:
     @pytest.mark.parametrize("start, stop", [(0, 11), (5, 3), (3, 3), (-1, 2), (8, 9)])
     def test_scan_range_rejects_ranges_outside_the_states(self, start, stop):
+        # 2 * 4 profiles, 2 * 3 orbits: player 0 and two identical players
         enc = kernels.encode_game(lower_bound.generate(3, 1).game)
-        assert enc.num_states == 8
+        assert enc.num_orbits == 6
         with pytest.raises(PreconditionError):
             kernels.scan_range(enc, start, stop)
 
@@ -370,7 +439,7 @@ class TestBlocks:
         game = EDGE_GAMES[name]
         enc = kernels.encode_game(game)
         block = len(enc.suffix_cong)
-        total = enc.num_states
+        total = enc.num_orbits
         whole_b, whole_m = kernels.scan_range(enc, 0, total)
         cuts = {block - 1, block, block + 1} | {k * block + 3 for k in range(total // block)}
         cuts = sorted({c for c in cuts if 0 < c < total} | {0, total})

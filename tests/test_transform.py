@@ -668,6 +668,23 @@ class TestVerifyDomination:
             verify_domination(game, s_eq, tsg)
 
 
+    @pytest.mark.parametrize("case", ["tracked_id_past_range", "tracked_id_negative"])
+    def test_out_of_range_tracked_id_is_counted_apart(self, case):
+        # Everyone but one player is tracked to the last resource; that one
+        # is tracked to an id outside the game.  It must count on its own:
+        # not raise, and not land on the last resource.
+        game, s_eq, s_opt = generators.forced_congestion_game(np.random.default_rng(5), degree=1)
+        tsg = transform_to_singletons(game, s_eq, s_opt)
+        first, *rest = tsg.player_ids()
+        for qid in rest:
+            tsg.retrack(qid, (game.num_resources - 1,))
+        tsg.retrack(first, (game.num_resources if case == "tracked_id_past_range" else -1,))
+        assert tsg.tracked_opt_bottleneck() == len(rest)
+        assert tsg.to_dict()["tracked_opt_bottleneck"] == len(rest)
+        report = verify_domination(game, s_eq, tsg, strict=False)
+        assert report.opt_bottleneck == len(rest) and not report.resources_ok
+
+
 def tamper(case, game, tsg):
     """Break one domination flag of a transformed roster.  The player edited
     is the lowest-id singleton on the equilibrium bottleneck resource (the
