@@ -2,8 +2,11 @@
 
 The resource graph of an equilibrium state links every resource whose
 congestion exceeds a threshold to the tracked-optimal resources of the
-singleton players sitting on it.  Per-node expansion and reachability checks
-certify, with exact rational arithmetic, the inequalities behind the
+singleton players sitting on it.  It keeps congestion only for those high
+resources; every other resource is terminal, and the checks read it at the
+threshold, so the graph's size follows the high nodes and their edges, not
+``num_resources``.  Per-node expansion and reachability checks certify, with
+exact rational arithmetic, the inequalities behind the
 ``O(num_resources ** (1/(degree+1)))`` price-of-anarchy bound.
 """
 
@@ -13,7 +16,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any
+from typing import Any, KeysView
 
 from .errors import PreconditionError
 from .game_core import power_table
@@ -24,23 +27,24 @@ from .transform import TwoStrategyGame
 class ResourceGraph:
     """Directed multigraph over resources for one equilibrium state.
 
-    Nodes above the congestion threshold form ``v1`` and carry out-edges; all
-    other resources are terminal.  ``children[x]`` keeps one entry per
-    (singleton player on x, tracked resource) incidence, so multiplicities
-    are preserved.  ``opt_cap`` is the optimal bottleneck used to cap how
-    often one child may be counted.
+    Nodes above the congestion threshold form ``v1``, carry their
+    equilibrium congestion in ``congestion`` and have out-edges; all other
+    resources are terminal and read as the threshold.  ``children[x]`` keeps
+    one entry per (singleton player on x, tracked resource) incidence, so
+    multiplicities are preserved.  ``opt_cap`` is the optimal bottleneck
+    used to cap how often one child may be counted.
     """
 
-    congestion: tuple[int, ...]
+    num_resources: int
+    congestion: dict[int, int]  # high node -> its equilibrium congestion
     degree: int
     threshold: int
     opt_cap: int
     children: dict[int, tuple[int, ...]]
-    v1: frozenset[int]
 
     @property
-    def num_resources(self) -> int:
-        return len(self.congestion)
+    def v1(self) -> KeysView[int]:
+        return self.congestion.keys()
 
 
 def build_resource_graph(tsg: TwoStrategyGame) -> ResourceGraph:
@@ -51,27 +55,27 @@ def build_resource_graph(tsg: TwoStrategyGame) -> ResourceGraph:
     optimal bottleneck (no resource sits in more tracked strategies than
     that).
     """
-    congestion = tuple(tsg.eq_congestion())
-    v1 = frozenset(r for r, c in enumerate(congestion) if c > tsg.threshold)
+    # Read in place: eq_congestion() would copy all num_resources entries.
+    congestion = {r: c for r, c in enumerate(tsg._eq_cong) if c > tsg.threshold}
     for pid in tsg.multi_ids():
         for r in tsg.players[pid].eq_strategy:
-            if r in v1:
+            if r in congestion:
                 raise PreconditionError(
                     f"resource {r} is above the threshold but hosts a "
                     f"multi-resource player; transform the game first"
                 )
     children = {}
-    for x in sorted(v1):
+    for x in congestion:
         ys = [y for pid in tsg.singles_on(x)
               for y in tsg.players[pid].opt_strategy if y != x]
         children[x] = tuple(sorted(ys))
     return ResourceGraph(
+        num_resources=tsg.num_resources,
         congestion=congestion,
         degree=tsg.degree,
         threshold=tsg.threshold,
         opt_cap=max(1, tsg.tracked_opt_bottleneck()),
         children=children,
-        v1=v1,
     )
 
 
@@ -87,14 +91,9 @@ def check_expansion(rg: ResourceGraph, x: int) -> tuple[int, Fraction, bool]:
     if x not in rg.v1:
         raise PreconditionError(f"resource {x} is not above the threshold")
     cx = rg.congestion[x]
-    powers = power_table(rg.degree, max(rg.threshold, max(rg.congestion)))
-    lhs = 0
-    for y, mult in sorted(Counter(rg.children[x]).items()):
-        weight = min(mult, rg.opt_cap)
-        if y in rg.v1:
-            lhs += weight * powers[rg.congestion[y]]
-        else:
-            lhs += weight * powers[rg.threshold]
+    powers = power_table(rg.degree, max(rg.threshold, *rg.congestion.values()))
+    lhs = sum(min(mult, rg.opt_cap) * powers[rg.congestion.get(y, rg.threshold)]
+              for y, mult in Counter(rg.children[x]).items())
     rhs = Fraction(cx - rg.opt_cap, 2 * rg.opt_cap) * powers[cx]
     return lhs, rhs, lhs >= rhs
 
@@ -117,7 +116,7 @@ def descendant_count_check(rg: ResourceGraph, root: int) -> tuple[int, bool]:
             if y in seen:
                 continue
             seen.add(y)
-            if y in rg.v1:
+            if y in rg.congestion:  # a high node
                 stack.append(y)
             else:
                 v2_reached.add(y)

@@ -28,7 +28,7 @@ from typing import Any, Iterable, Sequence
 
 from . import equilibria
 from .errors import DominationError, PreconditionError, StructuralError
-from .game_core import Game, _congestion, bottleneck, delay, switch_cost, validate_profile
+from .game_core import Game, bottleneck, delay, switch_cost, validate_profile
 
 
 @dataclass
@@ -157,19 +157,15 @@ class TwoStrategyGame:
     def eq_congestion(self) -> list[int]:
         return list(self._eq_cong)
 
-    def opt_congestion(self) -> list[int]:
-        counts = [0] * self.num_resources
-        for player in self.players.values():
-            for r in player.opt_strategy:
-                counts[r] += 1
-        return counts
+    def opt_congestion(self) -> Counter[int]:
+        """Players tracked to each resource, recounted from the roster: an id
+        outside ``[0, num_resources)`` is counted on its own key, for
+        ``verify_domination``'s ``resources_ok`` to flag, never on another."""
+        return Counter(chain.from_iterable(p.opt_strategy for p in self.players.values()))
 
     def tracked_opt_bottleneck(self) -> int:
-        """Most players tracked to one resource, recounted from the roster as
-        ``verify_domination`` does: an id outside ``[0, num_resources)`` is
-        counted on its own, for ``resources_ok`` to flag, never on another."""
-        tracked = Counter(chain.from_iterable(p.opt_strategy for p in self.players.values()))
-        return max(tracked.values(), default=0)
+        """Most players tracked to one resource."""
+        return max(self.opt_congestion().values(), default=0)
 
     def cost(self, pid: int) -> int:
         eq = self.players[pid].eq_strategy
@@ -241,26 +237,20 @@ def init_two_strategy(
     trace: list | None = None,
 ) -> TwoStrategyGame:
     """Restrict the game to (equilibrium strategy, tracked optimal strategy)
-    per player.  The equilibrium profile must actually be a weak Nash state."""
+    per player.  The equilibrium profile must actually be a weak Nash state.
+    Both bottlenecks, and so the threshold, are read off the roster's counts."""
     nash_profile = validate_profile(game, nash_profile)
     optimal_profile = validate_profile(game, optimal_profile)
-    eq_cong = _congestion(game, nash_profile)
-    if not equilibria._is_nash(game, nash_profile, eq_cong):
-        raise PreconditionError("the supplied equilibrium profile is not a weak Nash state")
-    eq_c = bottleneck(eq_cong)
-    opt_c = bottleneck(_congestion(game, optimal_profile))
-    threshold = max(2 * game.degree, 3 * opt_c)
-    tsg = TwoStrategyGame(
-        num_resources=game.num_resources,
-        degree=game.degree,
-        threshold=threshold,
-        eq_bottleneck=eq_c,
-        opt_bottleneck=opt_c,
-        trace=trace,
-    )
+    tsg = TwoStrategyGame(game.num_resources, game.degree, threshold=0,
+                          eq_bottleneck=0, opt_bottleneck=0, trace=trace)
     for i in range(game.num_players):
         tsg.add_player(game.chosen(nash_profile, i), game.chosen(optimal_profile, i))
-    tsg._settle()  # _is_nash above checked every player against both strategies
+    if not equilibria._is_nash(game, nash_profile, tsg._eq_cong):
+        raise PreconditionError("the supplied equilibrium profile is not a weak Nash state")
+    tsg._settle()  # _is_nash checked every player against both strategies
+    eq_c = tsg.eq_bottleneck = bottleneck(tsg._eq_cong)
+    opt_c = tsg.opt_bottleneck = tsg.tracked_opt_bottleneck()
+    threshold = tsg.threshold = max(2 * game.degree, 3 * opt_c)
     tsg.record("init", players=game.num_players, eq_bottleneck=eq_c,
                opt_bottleneck=opt_c, threshold=threshold)
     return tsg
@@ -320,7 +310,7 @@ def clean_game(tsg: TwoStrategyGame) -> TwoStrategyGame:
     if tsg._eq_cong != before_eq:
         raise StructuralError("cleaning changed the equilibrium congestion", state=tsg.to_dict())
     # Splitting preserves tracked congestion; pruning may only lower it.
-    if any(a > b for a, b in zip(tsg.opt_congestion(), before_opt)):
+    if any(c > before_opt[r] for r, c in tsg.opt_congestion().items()):
         raise StructuralError("cleaning raised a tracked congestion", state=tsg.to_dict())
     tsg.check_equilibrium()
     for pid in tsg.multi_ids():
@@ -514,9 +504,8 @@ def eliminate_high_congestion(tsg: TwoStrategyGame, level: int, pid: int) -> Non
         tsg.retrack(pid, fset)
         tsg.retrack(qid, (x,))
         tsg.record("eliminate", player=pid, donor=qid, resource=x, new_opt=list(fset))
-        after_opt = tsg.opt_congestion()
         # Rewiring may only release tracked load, never add to it.
-        if any(a > b for a, b in zip(after_opt, before_opt)):
+        if any(c > before_opt[r] for r, c in tsg.opt_congestion().items()):
             raise StructuralError(
                 "tracked congestion increased during elimination",
                 state=tsg.to_dict(),
@@ -775,7 +764,7 @@ def verify_domination(
     tracked ones), not read from the workspace's congestion; a broken roster
     reads false, or raises ``DominationError`` when ``strict``."""
     played = Counter(chain.from_iterable(p.eq_strategy for p in tsg.players.values()))
-    tracked = Counter(chain.from_iterable(p.opt_strategy for p in tsg.players.values()))
+    tracked = tsg.opt_congestion()
     resources_ok = tsg.num_resources == game.num_resources and all(
         0 <= r < game.num_resources for r in played.keys() | tracked.keys()
     )

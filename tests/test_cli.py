@@ -243,6 +243,39 @@ def test_numpy_stays_at_the_edges():
     assert not found, found
 
 
+def test_dense_congestion_stays_in_two_places():
+    # Memory grows with the resources used, not the resources declared.  A
+    # list of length num_resources is built only by game_core's profile
+    # counter and the workspace's equilibrium congestion, which every cost
+    # term reads; everything else counts sparsely.
+    allowed = {"game_core._congestion", "transform.TwoStrategyGame.__init__"}
+
+    def names(node):
+        return {getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(node)}
+
+    def dense(node):
+        return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                and ast.List in (type(node.left), type(node.right))
+                and "num_resources" in names(node))
+
+    def scopes(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}"
+            if dense(child):
+                yield inner, child.lineno
+            yield from scopes(child, inner)
+
+    found = [
+        f"{scope}:{lineno}"
+        for path in sorted(Path(polybottleneck.__file__).parent.glob("*.py"))
+        for scope, lineno in scopes(ast.parse(path.read_text()), path.stem)
+        if scope not in allowed
+    ]
+    assert not found, found
+
+
 @pytest.mark.parametrize("argv", [
     ["suite", "--max-players", "1"],
     ["suite", "--max-resources", "1"],

@@ -48,12 +48,12 @@ def reference_graph(game, nash_profile, optimal_profile):
         if len(eq) == 1 and eq[0] in v1:
             children[eq[0]].extend(int(y) for y in opt if y != eq[0])
     return ResourceGraph(
-        congestion=tuple(congestion),
+        num_resources=game.num_resources,
+        congestion={x: congestion[x] for x in sorted(v1)},
         degree=game.degree,
         threshold=threshold,
         opt_cap=cap,
         children={x: tuple(sorted(ys)) for x, ys in children.items()},
-        v1=v1,
     )
 
 
@@ -67,13 +67,14 @@ def graph_fields(build, *args):
 
 
 def star_graph(center_congestion=7, leaves=6, threshold=3, opt_cap=1, degree=1):
+    """Resource 0 above the threshold, its leaves 1..leaves terminal."""
     return ResourceGraph(
-        congestion=(center_congestion,) + (threshold,) * leaves,
+        num_resources=leaves + 1,
+        congestion={0: center_congestion},
         degree=degree,
         threshold=threshold,
         opt_cap=opt_cap,
         children={0: tuple(range(1, leaves + 1))},
-        v1=frozenset({0}),
     )
 
 
@@ -97,13 +98,17 @@ class TestBuildGraph:
         assert set(rg.children[0]) == set(range(4, 16))
 
     def test_congestion_is_plain_ints(self):
-        # Outside the scan kernel every congestion vector holds Python ints.
+        # Outside the scan kernel every congestion count holds Python ints:
+        # the dense vectors, and the sparse counts keyed by resource id.
         inst = lower_bound.generate(4, 1)
         tsg = init_two_strategy(inst.game, inst.state_all_direct, inst.state_all_paths)
-        vectors = [congestion_of(inst.game, inst.state_all_direct), tsg.eq_congestion(),
-                   tsg.opt_congestion(), build_resource_graph(tsg).congestion]
-        assert [type(v) for v in vectors] == [list, list, list, tuple]
+        vectors = [congestion_of(inst.game, inst.state_all_direct), tsg.eq_congestion()]
+        counts = [tsg.opt_congestion(), build_resource_graph(tsg).congestion]
+        assert [type(v) for v in vectors] == [list, list]
+        assert [type(c) for c in counts] == [Counter, dict]
         assert all(type(c) is int for v in vectors for c in v)
+        assert all(counts)  # resource 0 is tracked, and above the threshold
+        assert all(type(r) is int and type(c) is int for d in counts for r, c in d.items())
 
     def test_child_multiset_matches_recount(self):
         rng = np.random.default_rng(8)
@@ -159,8 +164,8 @@ class TestCheckExpansion:
 
     def test_multiplicity_capped_at_opt_cap(self):
         rg = ResourceGraph(
-            congestion=(7, 3), degree=1, threshold=3, opt_cap=2,
-            children={0: tuple([1] * 10)}, v1=frozenset({0}),
+            num_resources=2, congestion={0: 7}, degree=1, threshold=3, opt_cap=2,
+            children={0: tuple([1] * 10)},
         )
         lhs, _, _ = check_expansion(rg, 0)
         assert lhs == 2 * 3  # ten parallel edges count at most twice
@@ -299,7 +304,7 @@ class TestReferenceBuilder:
             assert got == expected
             if isinstance(got, tuple):
                 errors += 1
-            elif got["v1"]:
+            elif got["congestion"]:  # a high node
                 graphs += 1
         # both outcomes are exercised: high nodes with edges, and rejections
         assert graphs >= 10 and errors >= 10

@@ -114,6 +114,16 @@ class TestClean:
         clean_game(tsg)
         assert np.array_equal(tsg.opt_congestion(), opt_before)
 
+    def test_raised_tracked_load_is_caught(self, monkeypatch):
+        # A pruning that adds a tracked id instead of removing one; the id is
+        # outside the game, so the check compares counts key by key.
+        game, s_eq, s_opt = slack_hub_game(np.random.default_rng(0), 1)
+        tsg = init_two_strategy(game, s_eq, s_opt)
+        retrack = tsg.retrack
+        monkeypatch.setattr(tsg, "retrack", lambda pid, s: retrack(pid, (*s, game.num_resources)))
+        with pytest.raises(StructuralError, match="raised a tracked congestion"):
+            clean_game(tsg)
+
 
 def reference_prune(tsg):
     """The restart-from-scratch pruning loop that ``clean_game`` replaced:
@@ -332,6 +342,14 @@ class TestEliminate:
         after = tsg.opt_congestion()
         assert np.array_equal(after, opt_before)
         tsg.check_equilibrium()
+
+    def test_raised_tracked_load_is_caught(self, monkeypatch):
+        # A rewiring that also tracks both players to an id outside the game.
+        tsg, donor, mover = self._manual_tsg()
+        retrack = tsg.retrack
+        monkeypatch.setattr(tsg, "retrack", lambda pid, s: retrack(pid, (*s, tsg.num_resources)))
+        with pytest.raises(StructuralError, match="tracked congestion increased"):
+            eliminate_high_congestion(tsg, 3, mover)
 
     def test_congestion_vectors_invariant(self):
         tsg, donor, mover = self._manual_tsg()
@@ -678,7 +696,9 @@ class TestVerifyDomination:
         first, *rest = tsg.player_ids()
         for qid in rest:
             tsg.retrack(qid, (game.num_resources - 1,))
-        tsg.retrack(first, (game.num_resources if case == "tracked_id_past_range" else -1,))
+        bad = game.num_resources if case == "tracked_id_past_range" else -1
+        tsg.retrack(first, (bad,))
+        assert tsg.opt_congestion() == {game.num_resources - 1: len(rest), bad: 1}
         assert tsg.tracked_opt_bottleneck() == len(rest)
         assert tsg.to_dict()["tracked_opt_bottleneck"] == len(rest)
         report = verify_domination(game, s_eq, tsg, strict=False)
