@@ -2,17 +2,17 @@
 
 Single-profile checks (best response, weak Nash, Rosenthal potential) run in
 exact Python integer arithmetic.  Whole-space searches (optimal state, Nash
-enumeration, price of anarchy) run through the scan kernel, one orbit per
-composition of each type of interchangeable players, and honour a cap
-(``cap=``, default ``DEFAULT_STATE_CAP``): on the orbits scanned, and for
-Nash enumeration, which lists every profile, on the profiles too.
+enumeration, price of anarchy) are one ``kernels.scan`` of the encoded game,
+which owns the orbits, the reductions and their ties; here they honour a
+cap (``cap=``, default ``DEFAULT_STATE_CAP``): on the orbits scanned, and
+for Nash enumeration, which lists every profile, on the profiles too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import accumulate
 from typing import Any, Sequence
 
 from . import kernels
@@ -163,106 +163,20 @@ def best_response_dynamics(
     )
 
 
-def _check_cap(cap: int | None) -> int:
-    """The cap in force: ``cap``, or ``DEFAULT_STATE_CAP`` when it is None."""
+def _scan(game: Game, cap: int | None, nash: list[Profile] | None = None) -> PoaReport:
+    """``kernels.scan`` under the cap (``DEFAULT_STATE_CAP`` when None),
+    which bounds the orbits, and the profiles too when ``nash`` asks for
+    each of them."""
     limit = DEFAULT_STATE_CAP if cap is None else cap
     if limit < 1:
         raise UsageError(f"the state cap must be at least 1, got {limit}")
-    return limit
-
-
-def _arrangements(choices: list[int]):
-    """Every distinct ordering of a sorted list, in lexicographic order."""
-    a = list(choices)
-    while True:
-        yield tuple(a)
-        i = len(a) - 2
-        while i >= 0 and a[i] >= a[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = len(a) - 1
-        while a[j] <= a[i]:
-            j -= 1
-        a[i], a[j] = a[j], a[i]
-        a[i + 1:] = a[:i:-1]
-
-
-def _orbit_profiles(enc: kernels.GameArrays, idx: int) -> list[Profile]:
-    """Every profile of orbit ``idx``: each type's members take every
-    distinct ordering of the representative's choices."""
-    rep = kernels.profile_from_index(enc, idx)
-    out = []
-    for parts in product(*(_arrangements([rep[i] for i in players]) for players in enc.members)):
-        profile = list(rep)
-        for players, part in zip(enc.members, parts):
-            for i, choice in zip(players, part):
-                profile[i] = choice
-        out.append(tuple(profile))
-    return out
-
-
-def _tie_break(enc: kernels.GameArrays, best: tuple[int, int] | None, value: int,
-               hits) -> tuple[int, int]:
-    """The running (bottleneck, orbit) after a chunk whose orbits ``hits``,
-    ascending, reach ``value``, no worse than ``best``'s: a strictly better
-    value replaces ``best``; an equal one keeps whichever representative is
-    lexicographically first."""
-    idx = kernels.first_orbit(enc, hits)
-    if best is None or value != best[0]:
-        return value, idx
-    return value, kernels.first_orbit(enc, [best[1], idx])
-
-
-def _scan(game: Game, cap: int | None, nash: list[Profile] | None = None) -> PoaReport:
-    """One pass over every orbit: optimum, worst Nash state, Nash count,
-    and, into ``nash`` if given, every Nash profile in order.  Ties go to the
-    lexicographically first profile, the first representative among the
-    tied orbits.  The cap bounds the orbits, and also the profiles when
-    ``nash`` asks for each of them."""
-    limit = _check_cap(cap)
     if nash is not None and game.num_states() > limit:
         raise StateSpaceTooLargeError(
             f"{game.num_states()} states exceed the cap of {limit}; raise the cap to proceed"
         )
-    enc = kernels.encode_game(game, limit)
-    total = enc.num_orbits
-    weighted = len(enc.members) < game.num_players  # some orbit holds several profiles
-    opt: tuple[int, int] | None = None
-    worst: tuple[int, int] | None = None
-    nash_count = 0
-    for start in range(0, total, enc.chunk):
-        vals, mask = kernels.scan_range(enc, start, min(start + enc.chunk, total))
-        # In lexicographic orbit order the first hit is the one kept.
-        k = int(vals.argmin())
-        if opt is None or vals[k] <= opt[0]:
-            hits = [start + k] if enc.in_order else start + (vals == vals[k]).nonzero()[0]
-            opt = _tie_break(enc, opt, int(vals[k]), hits)
-        positions = mask.nonzero()[0]
-        nash_count += (int(kernels.orbit_sizes(enc, start + positions).sum()) if weighted
-                       else len(positions))
-        if nash is not None:
-            nash.extend(p for q in positions for p in _orbit_profiles(enc, start + int(q)))
-        if len(positions):
-            j = positions[int(vals[positions].argmax())]
-            if worst is None or vals[j] >= worst[0]:
-                hits = ([start + int(j)] if enc.in_order
-                        else start + positions[vals[positions] == vals[j]])
-                worst = _tie_break(enc, worst, int(vals[j]), hits)
-    if opt is None:
-        raise StructuralError("scan covered no profile; every game has at least one")
-    if worst is None:
-        raise StructuralError("no Nash equilibrium found; finite games always have one")
-    if nash is not None:
-        nash.sort()
-    return PoaReport(
-        worst_nash=kernels.profile_from_index(enc, worst[1]),
-        optimal=kernels.profile_from_index(enc, opt[1]),
-        C=worst[0],
-        C_star=opt[0],
-        nash_count=nash_count,
-        poa=Fraction(worst[0], opt[0]),
-    )
+    C, worst, c_star, optimal, nash_count = kernels.scan(kernels.encode_game(game, limit), nash)
+    return PoaReport(worst_nash=worst, optimal=optimal, C=C, C_star=c_star,
+                     nash_count=nash_count, poa=Fraction(C, c_star))
 
 
 def optimal_profile(game: Game, cap: int | None = None) -> tuple[Profile, int]:

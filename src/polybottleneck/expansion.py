@@ -91,8 +91,9 @@ def check_expansion(rg: ResourceGraph, x: int) -> tuple[int, Fraction, bool]:
     if x not in rg.v1:
         raise PreconditionError(f"resource {x} is not above the threshold")
     cx = rg.congestion[x]
-    powers = power_table(rg.degree, max(rg.threshold, *rg.congestion.values()))
-    lhs = sum(min(mult, rg.opt_cap) * powers[rg.congestion.get(y, rg.threshold)]
+    loads = {y: rg.congestion.get(y, rg.threshold) for y in rg.children[x]}
+    powers = power_table(rg.degree, max(cx, rg.threshold, *loads.values()))
+    lhs = sum(min(mult, rg.opt_cap) * powers[loads[y]]
               for y, mult in Counter(rg.children[x]).items())
     rhs = Fraction(cx - rg.opt_cap, 2 * rg.opt_cap) * powers[cx]
     return lhs, rhs, lhs >= rhs

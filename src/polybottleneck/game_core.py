@@ -251,7 +251,7 @@ def load_game(source: str | IO[str]) -> Game:
         raise GameFormatError(f"game file is not UTF-8 text: {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # a JSONDecodeError is a ValueError
         raise GameFormatError(f"invalid JSON: {exc}") from exc
     return game_from_dict(data)
 

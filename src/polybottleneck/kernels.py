@@ -42,6 +42,10 @@ Congestion is additive over players, so the scan splits an orbit index into
 a chunk counts only the congestion of the prefixes it touches and adds the
 two by broadcasting.  A composition's congestion is the sum of its
 strategies' rows weighted by their member counts.
+
+``scan`` owns the whole pass, chunk by chunk.  The optimum and the worst
+Nash state are one reduction: the least key (the bottleneck, or minus it),
+at the lexicographically first representative of the orbits reaching it.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionError, StateSpaceTooLargeError
+from .errors import PreconditionError, StateSpaceTooLargeError, StructuralError
 from .game_core import Game, Profile, power_table
 
 # int64 margin: leaves headroom for the accumulating sums.
@@ -302,6 +306,36 @@ def first_orbit(enc: GameArrays, idx) -> int:
     return int(idx[0])
 
 
+def _arrangements(choices: list[int]):
+    """Every distinct ordering of a sorted list, in lexicographic order."""
+    a = list(choices)
+    while True:
+        yield tuple(a)
+        i = len(a) - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(a) - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1:] = a[:i:-1]
+
+
+def _orbit_profiles(enc: GameArrays, idx: int):
+    """Every profile of orbit ``idx``: each type's members take every
+    distinct ordering of the representative's choices."""
+    rep = profile_from_index(enc, idx)
+    for parts in itertools.product(*(_arrangements([rep[i] for i in players])
+                                     for players in enc.members)):
+        profile = list(rep)
+        for players, part in zip(enc.members, parts):
+            for i, choice in zip(players, part):
+                profile[i] = choice
+        yield tuple(profile)
+
+
 def orbit_sizes(enc: GameArrays, idx: np.ndarray) -> np.ndarray:
     """Profiles in each orbit of ``idx``, as exact Python ints (object
     dtype): the product over types of the multinomial ``m! / prod c_s!``,
@@ -391,6 +425,54 @@ def scan_range(enc: GameArrays, start: int, stop: int) -> tuple[np.ndarray, np.n
     mask = np.zeros(m, dtype=bool)
     mask[live] = True
     return bottlenecks, mask
+
+
+def _least(enc: GameArrays, best: tuple[int, int] | None, keys: np.ndarray, start: int,
+           at: np.ndarray | None = None) -> tuple[int, int]:
+    """The running (key, orbit) after a chunk whose orbits ``start + at``,
+    ``at`` ascending (the whole chunk when None), carry ``keys``: the least
+    key so far, at the lexicographically first representative of the orbits
+    that reach it, ``best``'s among them.  In lexicographic orbit order that
+    is the first to reach it."""
+    k = int(keys.argmin())
+    key = int(keys[k])
+    if best is not None and (key > best[0] or (key == best[0] and enc.in_order)):
+        return best
+    if enc.in_order:
+        return key, start + (k if at is None else int(at[k]))
+    hits = (keys == key).nonzero()[0]
+    hits = start + (hits if at is None else at[hits])
+    return key, first_orbit(enc, hits if best is None or key != best[0] else [best[1], *hits])
+
+
+def scan(enc: GameArrays,
+         nash: list[Profile] | None = None) -> tuple[int, Profile, int, Profile, int]:
+    """One pass over every orbit, a chunk at a time: the worst Nash
+    bottleneck and its profile, the optimal bottleneck and its profile, and
+    the number of Nash profiles, counted exactly.  Ties go to the
+    lexicographically first profile.  Into ``nash``, if given, every Nash
+    profile, sorted."""
+    # Some orbit holds several profiles only when some type has two members.
+    weighted = enc.orbits.count(None) < len(enc.orbits)
+    opt = worst = None
+    nash_count = 0
+    for start in range(0, enc.num_orbits, enc.chunk):
+        vals, mask = scan_range(enc, start, min(start + enc.chunk, enc.num_orbits))
+        opt = _least(enc, opt, vals, start)
+        hits = mask.nonzero()[0]
+        if len(hits):
+            nash_count += int(orbit_sizes(enc, start + hits).sum()) if weighted else len(hits)
+            worst = _least(enc, worst, -vals[hits], start, hits)
+            if nash is not None:
+                nash.extend(p for q in hits for p in _orbit_profiles(enc, start + int(q)))
+    if opt is None:
+        raise StructuralError("scan covered no profile; every game has at least one")
+    if worst is None:
+        raise StructuralError("no Nash equilibrium found; finite games always have one")
+    if nash is not None:
+        nash.sort()
+    return (-worst[0], profile_from_index(enc, worst[1]),
+            opt[0], profile_from_index(enc, opt[1]), nash_count)
 
 
 def bottlenecks_range(enc: GameArrays, start: int, stop: int) -> np.ndarray:

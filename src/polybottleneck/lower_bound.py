@@ -70,12 +70,13 @@ def generate(n: int, degree: int) -> LowerBoundInstance:
         raise UsageError(f"need n >= 2 players, got {n}")
     if degree < 1:
         raise UsageError(f"degree must be >= 1, got {degree}")
-    path_len = n**degree
-    num_resources = n ** (degree + 1)
-    if num_resources > RESOURCE_CAP:
+    # n >= 2, so past the cap's bit length n**(M+1) is over the cap uncomputed.
+    if degree + 1 > RESOURCE_CAP.bit_length() or n ** (degree + 1) > RESOURCE_CAP:
         raise StateSpaceTooLargeError(
-            f"instance needs {num_resources} resources, above the cap {RESOURCE_CAP}"
+            f"instance needs {n}**{degree + 1} resources, above the cap {RESOURCE_CAP}"
         )
+    path_len = n**degree
+    num_resources = n * path_len
     players = []
     for i in range(n):
         path = list(range(i * path_len, (i + 1) * path_len))

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import polybottleneck
-from polybottleneck import lower_bound
+from polybottleneck import kernels, lower_bound
 from polybottleneck.cli import main
 from polybottleneck.game_core import Game, load_game, save_game
 
@@ -88,6 +89,18 @@ class TestAnalyze:
         path = tmp_path / "bad.json"
         path.write_bytes(b"\xff\xfe")
         assert_usage_error(main([command, str(path)]), capsys.readouterr().err)
+
+    @pytest.mark.parametrize("text", [
+        '{"degree": 1, "num_resources": ' + "1" * 4301 + ', "players": [[[0]]]}',
+        "[" * 1000 + "]" * 1000,
+    ], ids=["long_integer", "deep_nesting"])
+    def test_json_the_decoder_refuses_is_format_error(self, text, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        rc = main(["analyze", str(path)])
+        out, err = capsys.readouterr()
+        assert_usage_error(rc, err)
+        assert out == ""
 
     def test_calls_in_one_process_match_fresh_processes(self, family_file, capsys):
         # One parser serves every call in a process; no call may leak into the next.
@@ -194,6 +207,18 @@ class TestLowerBound:
         rc = main(["lower-bound", "--n", "1", "--degree", "1"])
         assert_usage_error(rc, capsys.readouterr().err)
 
+    # n**(degree+1) has over 4,300 digits: refused before the power is taken.
+    @pytest.mark.parametrize("argv", [
+        ["lower-bound", "--n", "3", "--degree", "100000"],
+        ["sweep", "--degree", "20000", "--n-range", "2..3"],
+    ])
+    def test_large_degree_is_over_the_cap(self, argv, capsys):
+        rc = main(argv)
+        out, err = capsys.readouterr()
+        assert rc == 1 and out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "cap" in lines[0]
+
 
 # Only sizes that fail before any allocation: 2**62 list slots overflow the
 # byte count (MemoryError), 2**63 overflows the index type (OverflowError).
@@ -239,6 +264,26 @@ def test_numpy_stays_at_the_edges():
         if path.name not in allowed
         for node in ast.walk(ast.parse(path.read_text()))
         if imports_numpy(node)
+    ]
+    assert not found, found
+
+
+def test_equilibria_sees_only_encode_and_scan():
+    # How orbits map to profiles is the kernel's to know: equilibria encodes
+    # the game and scans it, and reads no field of the encoding.
+    allowed = {"encode_game", "scan"}
+    fields = {field.name for field in dataclasses.fields(kernels.GameArrays)}
+    tree = ast.parse((Path(polybottleneck.__file__).parent / "equilibria.py").read_text())
+    found = [
+        f"{node.lineno}:{node.attr}" for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and (
+            node.attr in fields
+            or isinstance(node.value, ast.Name) and node.value.id == "kernels"
+            and node.attr not in allowed)
+    ] + [
+        f"{node.lineno}:{alias.name}" for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("kernels")
+        for alias in node.names
     ]
     assert not found, found
 

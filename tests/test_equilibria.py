@@ -242,6 +242,33 @@ class TestOrbits:
         games = [template_game(seed).num_players for seed in range(40)]
         assert sum(t < n for t, n in zip(sizes, games)) >= 30
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_ties_across_chunks_of_interleaved_types(self, seed, monkeypatch):
+        # Three orbits per chunk, so a tie often meets an earlier chunk's
+        # orbit, and types whose members interleave, so orbit order is not
+        # the lexicographic order of the representatives.
+        monkeypatch.setattr(kernels, "CHUNK", 3)
+        game = interleaved_game(seed)
+        report = price_of_anarchy(game)
+        C, c_star, count, worst, optimal = oracle_poa(game)
+        assert (report.C, report.C_star, report.nash_count) == (C, c_star, count)
+        assert (report.worst_nash, report.optimal) == (worst, optimal)
+        assert enumerate_nash(game) == oracle_nash_profiles(game)
+
+    def test_interleaved_games_are_out_of_order(self):
+        assert sum(not kernels.encode_game(interleaved_game(seed)).in_order
+                   for seed in range(40)) >= 20
+
+
+def interleaved_game(seed: int) -> Game:
+    """A 2-3 player random game with every player doubled, the copies
+    shuffled."""
+    rng = np.random.default_rng(1000 + seed)
+    game = generators.random_game(rng, max_players=3)
+    players = [list(map(list, s)) for s in game.strategies] * 2
+    order = rng.permutation(len(players))
+    return Game.build(game.num_resources, game.degree, [players[int(i)] for i in order])
+
 
 class TestOptimal:
     def test_disjoint_singletons(self):
