@@ -35,6 +35,7 @@ CASES = {
     "transform_slack_hub_d2": ["transform", "@slack_hub_d2.json", "--trace"],
     "transform_tight12": ["transform", "@tight12.json", "--trace"],
     "transform_forced_mark_d1": ["transform", "@forced_mark_d1.json", "--trace"],
+    "transform_clean_leftover": ["transform", "@clean_leftover.json", "--trace"],
     "expansion_tight6": ["expansion", "@tight6.json"],
     "expansion_tight6_first": ["expansion", "@tight6.json", "--transform-first"],
     "expansion_forced_d1": ["expansion", "@forced_d1.json"],
@@ -111,6 +112,11 @@ def regenerate() -> None:
     # scanned first is not the one holding the lexicographically first profile.
     a, b = [[2, 4], [0, 3], [3, 5]], [[0, 2], [3]]
     save_game(Game.build(6, 1, [a, b] * 4), str(GOLDEN / "interleaved_types.json"))
+    # Player 0 plays {0,1} and is tracked to {0,1,3}: cleaning splits off both
+    # shared resources, and the leftover tracked resource 3 goes to the first
+    # split, since no played resource is left for a residual player.
+    save_game(generators.random_game(np.random.default_rng(16)),
+              str(GOLDEN / "clean_leftover.json"))
     codes = {}
     for name, argv in sorted(CASES.items()):
         codes[name], out, err = run_case(argv)
