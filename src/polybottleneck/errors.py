@@ -18,7 +18,8 @@ class InvalidProfileError(PolyBottleneckError):
 
 
 class StateSpaceTooLargeError(PolyBottleneckError):
-    """The product strategy space exceeds the configured enumeration cap."""
+    """The product strategy space exceeds the configured enumeration cap, or
+    another fixed size limit (resources, delay-table entry bits)."""
 
 
 class NonConvergenceError(PolyBottleneckError):

@@ -55,15 +55,16 @@ def build_resource_graph(tsg: TwoStrategyGame) -> ResourceGraph:
     optimal bottleneck (no resource sits in more tracked strategies than
     that).
     """
-    # Read in place: eq_congestion() would copy all num_resources entries.
-    congestion = {r: c for r, c in enumerate(tsg._eq_cong) if c > tsg.threshold}
     for pid in tsg.multi_ids():
         for r in tsg.players[pid].eq_strategy:
-            if r in congestion:
+            if tsg._eq_cong[r] > tsg.threshold:
                 raise PreconditionError(
                     f"resource {r} is above the threshold but hosts a "
                     f"multi-resource player; transform the game first"
                 )
+    # With no multi player above the threshold, every high resource hosts
+    # singletons only, so the roster index lists them all.
+    congestion = {r: c for r in sorted(tsg._singles) if (c := tsg._eq_cong[r]) > tsg.threshold}
     children = {}
     for x in congestion:
         ys = [y for pid in tsg.singles_on(x)

@@ -15,7 +15,7 @@ from typing import IO, Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import GameFormatError, InvalidProfileError
+from .errors import GameFormatError, InvalidProfileError, StateSpaceTooLargeError
 
 # A profile assigns each player an index into its strategy list.
 Profile = tuple[int, ...]
@@ -150,15 +150,25 @@ def delay(congestion: int, degree: int) -> int:
 
 # One table per degree: _POWERS[M][c] == delay(c, M), extended on demand.
 _POWERS: dict[int, list[int]] = {}
+# Largest entry a table may grow to, in bits (8 KiB): a game file's degree is
+# otherwise unbounded, and each entry is exact.
+_POWER_BITS = 1 << 16
 
 
 def power_table(degree: int, top: int) -> list[int]:
     """The shared list ``[0**M, 1**M, ...]`` of this degree, extended through
     at least ``top``.  Entries come from ``delay``, so a negative ``top`` or a
-    degree below 1 raises its ``ValueError``.  Callers only read the list."""
+    degree below 1 raises its ``ValueError``, and an entry ``top**M`` longer
+    than ``_POWER_BITS`` raises ``StateSpaceTooLargeError`` before any is
+    taken.  Callers only read the list."""
     if top < 0 or degree < 1:
         delay(top, degree)
     table = _POWERS.setdefault(degree, [])
+    if top >= len(table) and (bits := int(degree) * int(top).bit_length()) > _POWER_BITS:
+        raise StateSpaceTooLargeError(
+            f"delays at degree {degree} up to congestion {top} need "
+            f"{bits} bits, over the {_POWER_BITS}-bit limit"
+        )
     for c in range(len(table), top + 1):
         table.append(delay(c, degree))
     return table

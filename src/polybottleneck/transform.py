@@ -20,7 +20,7 @@ Terminology used here:
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict, deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -88,49 +88,56 @@ class TwoStrategyGame:
         self.trace = trace
         self._next_id = 0
         self._eq_cong = [0] * num_resources  # plain ints: every cost term reads them
-        # Who plays where, kept by add_player and remove_player, the only
-        # places where an equilibrium strategy enters or leaves the roster.
+        # Who plays where, kept by add_player and replace, the only places
+        # where an equilibrium strategy enters or leaves the roster.
         self._singles: dict[int, set[int]] = {}  # resource -> its singleton players
         self._multis: set[int] = set()
-        # Since the last check: players added or retracked, and the net change
-        # of each equilibrium congestion that was touched.
+        # Since the last check: players added, replaced in or retracked, and
+        # whether add_player moved the equilibrium congestion.
         self._dirty: set[int] = set()
-        self._eq_moves: defaultdict[int, int] = defaultdict(int)
+        self._moved = False
 
     # -- roster -------------------------------------------------------------
 
     def add_player(self, eq_strategy: Iterable[int], opt_strategy: Iterable[int]) -> int:
+        """Add a player on top of the current equilibrium congestion (used to
+        build the roster): the next check recomputes everyone."""
+        eq = tuple(sorted(eq_strategy))
+        if not eq:
+            raise StructuralError("refusing to add a player with an empty equilibrium strategy")
+        for r in eq:
+            self._eq_cong[r] += 1
+        self._moved = True
+        return self._enter(eq, tuple(sorted(opt_strategy)))
+
+    def replace(self, pid: int, parts: Iterable[tuple[Iterable[int], Iterable[int]]]) -> list[int]:
+        """Swap a player for one new player per (played, tracked) part; the
+        only way a player leaves.  The played parts must partition the
+        player's own strategy, checked before anything changes, so the
+        equilibrium congestion stays as it is.  Returns the new ids."""
+        old = self.players[pid]
+        parts = [(tuple(sorted(eq)), tuple(sorted(opt))) for eq, opt in parts]
+        if not all(eq for eq, _ in parts) or (
+                sorted(chain.from_iterable(eq for eq, _ in parts)) != list(old.eq_strategy)):
+            raise StructuralError(
+                f"parts {[list(eq) for eq, _ in parts]} do not partition the strategy "
+                f"{list(old.eq_strategy)} of player {pid}", state=self.to_dict())
+        del self.players[pid]
+        (self._singles[old.eq_strategy[0]] if old.is_singleton else self._multis).discard(pid)
+        self._dirty.discard(pid)
+        return [self._enter(eq, opt) for eq, opt in parts]
+
+    def _enter(self, eq: tuple[int, ...], opt: tuple[int, ...]) -> int:
+        """Index a new player whose played resources are already counted."""
         pid = self._next_id
         self._next_id += 1
-        player = TwoStrategyPlayer(
-            eq_strategy=tuple(sorted(eq_strategy)), opt_strategy=tuple(sorted(opt_strategy))
-        )
-        if not player.eq_strategy:
-            raise StructuralError("refusing to add a player with an empty equilibrium strategy")
-        self.players[pid] = player
-        self._move_eq(player.eq_strategy, 1)
-        if player.is_singleton:
-            self._singles.setdefault(player.eq_strategy[0], set()).add(pid)
+        self.players[pid] = TwoStrategyPlayer(eq_strategy=eq, opt_strategy=opt)
+        if len(eq) == 1:
+            self._singles.setdefault(eq[0], set()).add(pid)
         else:
             self._multis.add(pid)
         self._dirty.add(pid)
         return pid
-
-    def remove_player(self, pid: int) -> TwoStrategyPlayer:
-        player = self.players.pop(pid)
-        self._move_eq(player.eq_strategy, -1)
-        if player.is_singleton:
-            self._singles[player.eq_strategy[0]].discard(pid)
-        else:
-            self._multis.discard(pid)
-        self._dirty.discard(pid)
-        return player
-
-    def _move_eq(self, strategy: tuple[int, ...], step: int) -> None:
-        cong, moves = self._eq_cong, self._eq_moves
-        for r in strategy:
-            cong[r] += step
-            moves[r] += step
 
     def retrack(self, pid: int, strategy: Iterable[int]) -> None:
         """Give a player a new tracked strategy; the only way to change one."""
@@ -186,14 +193,13 @@ class TwoStrategyGame:
     def check_equilibrium(self, full: bool = False) -> None:
         """Raise on the lowest-id player that is not in equilibrium.
 
-        By default only the players added or retracked since the last check
-        are recomputed: every other one was stable then, at the same
-        equilibrium congestion, with the same strategies.  If any congestion
-        moved since (net, over the resources touched), or ``full`` is set,
-        every player is recomputed.
+        By default only the players added, replaced in or retracked since the
+        last check are recomputed: every other one was stable then, at the
+        same equilibrium congestion (``replace`` keeps it), with the same
+        strategies.  If ``add_player`` moved the congestion since, or ``full``
+        is set, every player is recomputed.
         """
-        moved = any(self._eq_moves.values())
-        for pid in sorted(self.players if full or moved else self._dirty):
+        for pid in sorted(self.players if full or self._moved else self._dirty):
             if not self.in_equilibrium(pid):
                 raise StructuralError(
                     f"player {pid} is no longer in equilibrium",
@@ -205,7 +211,7 @@ class TwoStrategyGame:
         """Declare every player stable at the current equilibrium congestion
         (the caller has just proven it)."""
         self._dirty.clear()
-        self._eq_moves.clear()
+        self._moved = False
 
     # -- views ----------------------------------------------------------------
 
@@ -266,7 +272,6 @@ def clean_game(tsg: TwoStrategyGame) -> TwoStrategyGame:
     sitting above the congestion threshold are then pruned of redundant
     resources.
     """
-    before_eq = list(tsg._eq_cong)
     before_opt = tsg.opt_congestion()
     for pid in tsg.multi_ids():
         player = tsg.players[pid]
@@ -275,15 +280,14 @@ def clean_game(tsg: TwoStrategyGame) -> TwoStrategyGame:
             continue
         rest_eq = sorted(set(player.eq_strategy) - set(overlap))
         rest_opt = sorted(set(player.opt_strategy) - set(overlap))
-        tsg.remove_player(pid)
-        split_ids = [tsg.add_player([r], [r]) for r in overlap]
+        parts = [([r], [r]) for r in overlap]
         if rest_eq:
-            tsg.add_player(rest_eq, rest_opt)
-        elif rest_opt:
+            parts.append((rest_eq, rest_opt))
+        else:
             # Everything the player used is shared; hand the leftover tracked
             # resources to the first split so no tracked membership is lost.
-            first = split_ids[0]
-            tsg.retrack(first, set(tsg.players[first].opt_strategy) | set(rest_opt))
+            parts[0] = ([overlap[0]], [overlap[0], *rest_opt])
+        tsg.replace(pid, parts)
         tsg.record("clean_split", player=pid, overlap=overlap)
 
     # Redundancy pruning, low congestion first, for singleton players on
@@ -307,8 +311,6 @@ def clean_game(tsg: TwoStrategyGame) -> TwoStrategyGame:
                 tsg.retrack(pid, (x for x in player.opt_strategy if x != r))
                 tsg.record("prune", player=pid, removed=r)
 
-    if tsg._eq_cong != before_eq:
-        raise StructuralError("cleaning changed the equilibrium congestion", state=tsg.to_dict())
     # Splitting preserves tracked congestion; pruning may only lower it.
     if any(c > before_opt[r] for r, c in tsg.opt_congestion().items()):
         raise StructuralError("cleaning raised a tracked congestion", state=tsg.to_dict())
@@ -411,7 +413,8 @@ def split_player(tsg: TwoStrategyGame, pid: int) -> list[int]:
     cover partition.
 
     The player's two strategies must be disjoint.  Equilibrium congestion is
-    untouched; every sub-player is in equilibrium with cost at most the old
+    untouched (``replace`` checks that the played sides partition the
+    player's strategy); every sub-player is in equilibrium with cost at most the old
     player's cost.
     """
     player = tsg.players[pid]
@@ -428,15 +431,9 @@ def split_player(tsg: TwoStrategyGame, pid: int) -> list[int]:
     # A multi sub-player may cost at most joining its most congested tracked resource.
     dearest = max(player.opt_strategy, key=lambda r: tsg._eq_cong[r])
     cap = switch_cost(tsg._eq_cong, (), (dearest,), tsg.degree)
-    before_eq = list(tsg._eq_cong)
-    tsg.remove_player(pid)
-    new_ids = [tsg.add_player(p.eq_part, p.opt_part) for p in pairs]
+    new_ids = tsg.replace(pid, [(p.eq_part, p.opt_part) for p in pairs])
     tsg.record("split", player=pid, new_ids=new_ids,
                pairs=[[list(p.eq_part), list(p.opt_part)] for p in pairs])
-    if tsg._eq_cong != before_eq:
-        raise StructuralError(
-            f"splitting player {pid} changed the equilibrium congestion", state=tsg.to_dict()
-        )
     for nid in new_ids:
         c = tsg.cost(nid)
         if c > old_cost:
@@ -690,17 +687,12 @@ def transform_to_singletons(
         tsg.record("no_op", reason="bottleneck at or below threshold")
         return tsg
 
-    before_eq = list(tsg._eq_cong)
     for pid in _multis_costing(tsg, delay(tsg.eq_bottleneck + 1, tsg.degree)):
         split_player(tsg, pid)
 
     for level in range(tsg.eq_bottleneck, tsg.threshold, -1):
         run_phase(tsg, level)
 
-    if tsg._eq_cong != before_eq:
-        raise StructuralError(
-            "the transformation changed the equilibrium congestion", state=tsg.to_dict()
-        )
     tsg.check_equilibrium(full=True)
     for pid in tsg.multi_ids():
         for r in tsg.players[pid].eq_strategy:

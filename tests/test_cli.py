@@ -235,6 +235,19 @@ def test_huge_declared_resource_count_is_reported(command, exponent, tmp_path, c
     assert len(lines) == 1 and lines[0].startswith("error: a computation could not run")
 
 
+# Every delay c**degree is exact, so the degree of a game file is bounded by
+# the bits of the largest entry: 3**10**10 alone would take about 2 GB.
+@pytest.mark.parametrize("command", ["analyze", "transform", "expansion"])
+def test_huge_file_degree_is_over_the_cap(command, tmp_path, capsys):
+    path = tmp_path / "steep.json"
+    path.write_text(json.dumps({"degree": 10**10, "num_resources": 2, "players": [[[0]], [[0]]]}))
+    rc = main([command, str(path)])
+    out, err = capsys.readouterr()
+    assert rc == 1 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "bit limit" in lines[0]
+
+
 def test_package_has_no_assert_statements():
     # `python -O` strips asserts, so invariants must raise the package's errors.
     found = [
@@ -292,13 +305,19 @@ def test_dense_congestion_stays_in_two_places():
     # Memory grows with the resources used, not the resources declared.  A
     # list of length num_resources is built only by game_core's profile
     # counter and the workspace's equilibrium congestion, which every cost
-    # term reads; everything else counts sparsely.
-    allowed = {"game_core._congestion", "transform.TwoStrategyGame.__init__"}
+    # term reads; everything else counts sparsely.  Nothing copies or walks
+    # the workspace's vector but the dense view kept for outside readers.
+    allowed = {"game_core._congestion", "transform.TwoStrategyGame.__init__",
+               "transform.TwoStrategyGame.eq_congestion"}
 
     def names(node):
         return {getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(node)}
 
     def dense(node):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            return (node.func.id in ("list", "enumerate") and len(node.args) == 1
+                    and isinstance(node.args[0], ast.Attribute)
+                    and node.args[0].attr == "_eq_cong")
         return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
                 and ast.List in (type(node.left), type(node.right))
                 and "num_resources" in names(node))

@@ -472,20 +472,56 @@ class TestIncrementalCheck:
             tsg.check_equilibrium()
 
     def test_moved_congestion_rechecks_everyone(self):
-        # Emptying resource 1 makes the clean player c prefer its tracked pair.
-        tsg, _, _, c, d = self._settled()
-        tsg.remove_player(d)
+        # A fourth user on resource 0 makes the clean player c prefer its
+        # tracked pair: every player is rechecked in id order up to c.
+        tsg, a, b, c, _ = self._settled()
+        tsg.add_player([0], [0])
         assert c not in tsg._dirty
         with pytest.raises(StructuralError, match=f"player {c} "):
             tsg.check_equilibrium()
-        assert sorted(self.rechecked) == tsg.player_ids()
+        assert self.rechecked == [a, b, c]
 
     def test_net_zero_moves_keep_the_check_incremental(self):
         tsg, _, _, _, d = self._settled()
-        twin = tsg.remove_player(d)
-        new = tsg.add_player(twin.eq_strategy, twin.opt_strategy)
+        twin = tsg.players[d]
+        (new,) = tsg.replace(d, [(twin.eq_strategy, twin.opt_strategy)])
         tsg.check_equilibrium()
         assert self.rechecked == [new]
+
+
+class TestReplace:
+    def _workspace(self):
+        # Player p plays {0, 1} and is tracked to {2}; q plays {1}.
+        tsg = TwoStrategyGame(num_resources=4, degree=1, threshold=1,
+                              eq_bottleneck=2, opt_bottleneck=1)
+        p = tsg.add_player([0, 1], [2])
+        tsg.add_player([1], [3])
+        return tsg, p
+
+    def test_parts_that_partition_the_strategy_take_the_players_place(self):
+        tsg, p = self._workspace()
+        cong = list(tsg._eq_cong)
+        new_ids = tsg.replace(p, [([1], [2]), ([0], [2, 3])])
+        assert p not in tsg.players and p not in tsg._dirty
+        assert [(tsg.players[n].eq_strategy, tsg.players[n].opt_strategy)
+                for n in new_ids] == [((1,), (2,)), ((0,), (2, 3))]
+        assert tsg._eq_cong == cong
+        assert_index_matches_roster(tsg)
+
+    @pytest.mark.parametrize("parts", [
+        pytest.param([([0], [2])], id="drops_an_id"),
+        pytest.param([([0], [2]), ([0, 1], [3])], id="repeats_an_id"),
+        pytest.param([([0], [2]), ([1, 3], [2])], id="adds_an_id"),
+        pytest.param([([0, 1], [2]), ([], [3])], id="empty_part"),
+    ])
+    def test_parts_that_do_not_partition_are_refused_unchanged(self, parts):
+        tsg, p = self._workspace()
+        before = copy.deepcopy((tsg.players, tsg._singles, tsg._multis, tsg._eq_cong,
+                                tsg._dirty, tsg._next_id))
+        with pytest.raises(StructuralError, match=f"partition the strategy .* of player {p}"):
+            tsg.replace(p, parts)
+        assert (tsg.players, tsg._singles, tsg._multis, tsg._eq_cong,
+                tsg._dirty, tsg._next_id) == before
 
 
 def test_no_player_is_rechecked_unchanged(monkeypatch):
@@ -525,7 +561,9 @@ def test_no_player_is_rechecked_unchanged(monkeypatch):
 
 
 def test_tracked_strategies_change_only_through_retrack():
-    # The incremental check trusts every player that was not retracked.
+    # The incremental check trusts every player that was not retracked, and
+    # the equilibrium congestion that only the workspace's own add_player
+    # and replace keep.
     found = []
     for path in sorted(Path(polybottleneck.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -543,9 +581,33 @@ def test_tracked_strategies_change_only_through_retrack():
                 f"{path.name}:{node.lineno}"
                 for target in targets
                 for t in ast.walk(target)
-                if isinstance(t, ast.Attribute) and t.attr == "opt_strategy"
+                if isinstance(t, ast.Attribute) and t.attr in ("opt_strategy", "eq_strategy")
                 and id(node) not in inside
             ]
+    assert not found, found
+
+
+def test_only_replace_removes_a_player():
+    # replace checks the partition that keeps the equilibrium congestion.
+    found = []
+    for path in sorted(Path(polybottleneck.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = {
+            id(node)
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name == "replace"
+            for node in ast.walk(fn)
+        }
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if id(node) not in allowed and (
+                isinstance(node, ast.Delete) and any(
+                    isinstance(t, ast.Subscript) and isinstance(t.value, ast.Attribute)
+                    and t.value.attr == "players" for t in node.targets)
+                or isinstance(node, ast.Attribute) and node.attr in ("pop", "popitem", "clear")
+                and isinstance(node.value, ast.Attribute) and node.value.attr == "players")
+        ]
     assert not found, found
 
 
@@ -713,7 +775,7 @@ def tamper(case, game, tsg):
     hub, idle = cong.index(tsg.eq_bottleneck), cong.index(0)
     pid = tsg.singles_on(hub)[0]
     player = tsg.players[pid]
-    if case == "eq_rewritten_in_place":  # past add_player and remove_player
+    if case == "eq_rewritten_in_place":  # past add_player and replace
         player.eq_strategy = (idle,)
     elif case == "tracked_id_past_range":
         tsg.retrack(pid, player.opt_strategy + (game.num_resources,))
