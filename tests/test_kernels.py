@@ -144,6 +144,22 @@ EDGE_GAMES = {
     "object_path_no_shared_two_players": Game.build(
         5, 41, [[[0], [1, 2]], [[3], [4], [3, 4]]]
     ),
+    # Costs above 2**53, where float64 sums round (degree 24, 10 players).
+    # Player 0 ties exactly: 5**24 plus 5 private hops against 5**24 plus
+    # five shared hops nobody uses, once 4 of the type on [[0], [11]] sit on
+    # resource 0 and player 9 sits on its own resource 12.  Summed in slot
+    # order, the five 1s vanish into 5**24 but the private 5 rounds it up.
+    "object_path_exact_tie": Game.build(
+        13, 24, [[[0, 6, 7, 8, 9, 10], [0, 1, 2, 3, 4, 5]]] + [[[0], [11]]] * 8
+        + [[[1, 2, 3, 4, 5], [12]]]
+    ),
+    # Player 0 on [1, 2] pays 5**24 + 1 with 4 others on each of resources
+    # 0 and 1: one more than [0], a difference float64 loses.
+    "object_path_differ_by_one": Game.build(3, 24, [[[0], [1, 2]]] + [[[0], [1]]] * 8),
+    # 5**700 overflows float64: the scan stays in exact integers
+    "object_path_float_overflow": Game.build(
+        3, 700, [[[0], [1]], [[1], [2]], [[0], [2]], [[0], [1], [2]]]
+    ),
     # a three-strategy type of three members interleaved with a two-member
     # type: compositions hold one, two or three distinct strategies
     "three_strategy_type": Game.build(6, 2, [
