@@ -5,7 +5,8 @@ the equilibrium and price-of-anarchy searches.  ``scan_range`` computes the
 bottleneck and the weak-Nash flag of every orbit in an index range in one
 vectorized numpy pass.  Cost sums run in int64 only when a precomputed bound
 proves they fit; otherwise the delay table has object dtype (exact unbounded
-integers).
+integers), and a float64 copy prices deviations first: only the rows whose
+verdict a proven rounding bound leaves open are priced again exactly.
 
 The encoding is sparse.  Only shared resources, those in the strategies of
 two or more players, get a congestion column; their ids are compacted, so
@@ -88,9 +89,9 @@ class GameArrays:
     weights: np.ndarray     # (T,) mixed-radix decode weights of an orbit index
     player_ptr: np.ndarray  # (T+1,) type -> first strategy row
     table: np.ndarray       # (total_strats, max_len) shared compact ids, ghost-padded
-    # Per type: its rows of ``table`` cut to its longest shared part (k, L),
-    # and the private resource count of each strategy (k,) in the delay
-    # table's dtype, or None when all its strategies have the same count: a
+    # Per type: its rows of ``table`` cut to its longest shared part and
+    # stored slot-major (L, k), and the int64 private resource count of each
+    # strategy (k, 1), or None when all its strategies have the same count: a
     # constant added to every deviation cost cannot change the verdict.
     deviations: list[tuple[np.ndarray, np.ndarray | None]]
     num_orbits: int         # orbit indices scan_range accepts; the cap bounds it
@@ -103,6 +104,7 @@ class GameArrays:
     # Entry c is (c+1)**M, the delay of a resource after the player joins its
     # c other users; two trailing zeros serve the ghost column's -1 and -2.
     pow_table: np.ndarray   # int64 when int64_safe, else object
+    pow_float: np.ndarray | None  # the object table in float64 for _stable, if sums fit
     members: list[tuple[int, ...]]  # per type, its players in ascending order
     # Per type of m >= 2 members over k strategies, else None: (held, mult),
     # each (choices, min(m, k)), one row per composition in descending
@@ -210,19 +212,20 @@ def encode_game(game: Game, cap: int | None = None) -> GameArrays:
     pow_exact = power_table(game.degree, n + 1)[:n + 2]
     # The table itself must fit even when no slot is shared (max_len 0).
     int64_safe = max(max_len, 1) * pow_exact[-1] + max(private) < _INT64_SAFE_LIMIT
-    dtype = np.int64 if int64_safe else object
-
+    pow_table = np.array(pow_exact[1:] + [0, 0], dtype=np.int64 if int64_safe else object)
+    # Costs below 2**1022 keep every float sum in ``_stable`` finite.
+    fits = not int64_safe and (max(max_len, 1) * pow_exact[-1] + max(private)).bit_length() < 1023
     deviations = []
-    gather = 0  # widest (k, width) deviation gather of a type
+    gather = 0  # widest (width, k) deviation gather of a type
     for p0, k in zip(player_ptr, strats):
         width = max(lengths[p0:p0 + k])
         gather = max(gather, k * width)
         priv = private[p0:p0 + k]
-        deviations.append((table[p0:p0 + k, :width],
-                           np.array(priv, dtype=dtype) if min(priv) != max(priv) else None))
+        deviations.append((table[p0:p0 + k, :width].T.copy(), None if min(priv) == max(priv)
+                           else np.array(priv, dtype=np.int64)[:, None]))
 
     # Per orbit a chunk holds a congestion row and, for one type at a time,
-    # its (k, width) deviation gather.
+    # its (width, k) deviation gather.
     cells = z + 1 + gather
     chunk = max(1, min(CHUNK, _CHUNK_CELLS // cells))
     # The suffix is the longest run of last types whose joint choices B
@@ -261,7 +264,8 @@ def encode_game(game: Game, cap: int | None = None) -> GameArrays:
         suffix_cong=suffix_cong,
         chunk=chunk,
         int64_safe=int64_safe,
-        pow_table=np.array(pow_exact[1:] + [0, 0], dtype=dtype),
+        pow_table=pow_table,
+        pow_float=pow_table.astype(np.float64) if fits else None,
         members=[tuple(m) for m in members],
         orbits=orbits,
         in_order=len(members) == n or all(m[-1] - m[0] == len(m) - 1 for m in members),
@@ -359,9 +363,9 @@ def scan_range(enc: GameArrays, start: int, stop: int) -> tuple[np.ndarray, np.n
     times its type's strategy rows adds the other players, and one broadcast
     add against ``suffix_cong`` gives every row (a game without prefix types
     copies a slice of ``suffix_cong``).  Each type is taken off its rows of the
-    stable orbits, one member off one held strategy at a time; its deviation
-    costs come from one gather into the delay table plus the private
-    counts, and its rows are restored.  Every strategy is non-empty, so the
+    stable orbits, one member off one held strategy at a time; one
+    slot-major gather of its congestion goes to ``_stable`` for pricing, and
+    its rows are restored.  Every strategy is non-empty, so the
     bottleneck is at least 1 even where only private resources are used."""
     if not 0 <= start < stop <= enc.num_orbits:
         raise PreconditionError(
@@ -384,7 +388,7 @@ def scan_range(enc: GameArrays, start: int, stop: int) -> tuple[np.ndarray, np.n
         prefix_cong = np.bincount(slots.ravel(), minlength=len(prefix) * (z + 1))
         prefix_cong = prefix_cong.reshape(len(prefix), z + 1)
         for t in multi:
-            alt = enc.deviations[t][0]
+            alt = enc.deviations[t][0].T
             keys = alt + (z + 1) * np.arange(len(alt))[:, None]
             strategy_cong = np.bincount(keys.ravel(), minlength=len(alt) * (z + 1))
             prefix_cong += _composition_cong(enc.orbits[t], strategy_cong.reshape(-1, z + 1),
@@ -396,28 +400,24 @@ def scan_range(enc: GameArrays, start: int, stop: int) -> tuple[np.ndarray, np.n
         cong = enc.suffix_cong[start:stop].copy()  # the types' rows are written
     bottlenecks = np.maximum(cong.max(axis=1), 1)
 
-    # Types are checked in turn, each only on the orbits still stable.
+    # Types of two or more strategies are checked in turn on the stable orbits.
     live = positions = np.arange(m)
     flat = cong.ravel()
     for t, (alt, private) in enumerate(enc.deviations):
         orbit = enc.orbits[t]
-        for j in range(1 if orbit is None else orbit[0].shape[1]):
+        for j in range(0 if alt.shape[1] == 1 else 1 if orbit is None else orbit[0].shape[1]):
             cur = ((live + start) // enc.weights[t]) % enc.counts[t]
             if orbit is not None:
                 cur = orbit[0][cur, j]  # the j-th strategy the composition holds
-            rows = (live * (z + 1))[:, None]
-            # Take one member off its slots (a ghost -1 becomes -2), so one
-            # gather prices every strategy s: dev[:, s] sums (C^{-i} + 1)**M;
-            # then put it back.
-            own = rows + alt[cur]
+            rows = live * (z + 1)
+            # Take one member off its slots (a ghost -1 becomes -2), gather the
+            # (width, k, live) congestion that prices every strategy, put it back.
+            own = alt[:, cur] + rows
             saved = flat[own]
             flat[own] = saved - 1
-            dev = enc.pow_table[flat[rows[:, :, None] + alt]].sum(axis=2)
+            slots = flat[alt[:, :, None] + rows]
             flat[own] = saved
-            if private is not None:
-                dev += private
-            live = live[np.asarray(dev.min(axis=1) >= dev[positions[:len(live)], cur],
-                                   dtype=bool)]
+            live = live[_stable(slots, private, cur, positions, enc.pow_table, enc.pow_float)]
             if not len(live):
                 break
         if not len(live):
@@ -425,6 +425,36 @@ def scan_range(enc: GameArrays, start: int, stop: int) -> tuple[np.ndarray, np.n
     mask = np.zeros(m, dtype=bool)
     mask[live] = True
     return bottlenecks, mask
+
+
+def _stable(slots: np.ndarray, private: np.ndarray | None, cur: np.ndarray, at: np.ndarray,
+            table: np.ndarray, rounded: np.ndarray | None = None) -> np.ndarray:
+    """Per live orbit of the gather ``slots`` (w, k, live), whether the
+    member on strategy ``cur`` has no strictly cheaper strategy, priced with
+    ``table`` (``at`` is 0, 1, ... at least live long); given its float64
+    copy ``rounded``, only rows the float sums cannot settle use ``table``.
+
+    Float sums settle a row (Higham 2002, 3.1 and 4.2; u = 2**-53): an entry
+    rounds by a factor 1 + d, |d| <= u, and a cost takes at most w more, so
+    each cost, and the least of the others, is within g = (w+1)u/(1-(w+1)u)
+    of exact (costs are whole, below 2**1022 by ``fits``).  The exact other - here
+    is then within g/(1-g) * (other + here) of the float one; with the gap's
+    rounding (1 + u) and the bound's ((1 - u)**2), (2w + 4)u still covers it."""
+    dev = (table if rounded is None else rounded)[slots].sum(axis=0)
+    if private is not None:
+        dev += private
+    at = at[:len(cur)]
+    if rounded is None:
+        return np.asarray(dev.min(axis=0) >= dev[cur, at], dtype=bool)
+    here = dev[cur, at]
+    dev[cur, at] = np.inf
+    other = dev.min(axis=0)
+    gap = other - here
+    stable = gap >= 0
+    near = (np.abs(gap) <= (2 * len(slots) + 4) * 2.0**-53 * (other + here)).nonzero()[0]
+    if len(near):
+        stable[near] = _stable(slots[:, :, near], private, cur[near], at, table)
+    return stable
 
 
 def _least(enc: GameArrays, best: tuple[int, int] | None, keys: np.ndarray, start: int,
