@@ -118,6 +118,22 @@ class TestAnalyze:
         assert [rc for rc, _, _ in seen] == [2, 0, 2]
         assert seen == [alone[tuple(argv)] for argv in calls]
 
+    @pytest.mark.parametrize("degree", [24, 700])
+    def test_object_path_writes_nothing_to_stderr(self, degree, tmp_path):
+        # Degree 24 takes the float64 filter; at degree 700 a float64 delay
+        # table would overflow, so the scan stays in exact integers.  Neither
+        # may print a warning.
+        if degree == 24:
+            path = Path(__file__).parent / "golden" / "random_d24.json"
+        else:
+            path = tmp_path / "d700.json"
+            save_game(Game.build(3, 700, [[[0], [1]], [[1], [2]], [[0], [2]], [[0], [1], [2]]]),
+                      str(path))
+        proc = run_cli(["analyze", str(path)])
+        assert proc.returncode == 0
+        assert proc.stderr == b""
+        assert json.loads(proc.stdout)["C"] >= 1
+
 
 class TestSuite:
     def test_small_suite_passes(self, capsys):

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -343,5 +344,5 @@ class TestGameFormat:
         a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
         save_game(game, a)
         save_game(game, b)
-        assert open(a).read() == open(b).read()
-        json.loads(open(a).read())
+        assert Path(a).read_text() == Path(b).read_text()
+        json.loads(Path(a).read_text())

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from polybottleneck import equilibria, generators, kernels, lower_bound
 from polybottleneck.cli import main
@@ -322,7 +324,8 @@ class TestEncoding:
             profile = kernels.profile_from_index(enc, int(idx))
             assert bool(mask[idx]) == oracle_is_nash(game, profile)
 
-    @pytest.mark.parametrize("name", ["block_all_suffix", "block_mixed_radix"])
+    @pytest.mark.parametrize("name", ["block_all_suffix", "block_mixed_radix",
+                                      "object_path_exact_tie"])
     def test_scan_leaves_the_encoding_untouched(self, name):
         # The scan writes into the congestion rows of its chunk; on a game
         # without prefix players those rows start as a slice of suffix_cong.
@@ -348,6 +351,13 @@ class TestEncoding:
             assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(old, new)), key
             if not old:
                 assert value == getattr(enc, key), key
+
+    def test_float_table_only_on_the_object_path_below_overflow(self):
+        assert kernels.encode_game(EDGE_GAMES["unequal_lengths"]).pow_float is None
+        assert kernels.encode_game(EDGE_GAMES["object_path_float_overflow"]).pow_float is None
+        enc = kernels.encode_game(EDGE_GAMES["object_path_exact_tie"])
+        assert enc.pow_float.dtype == np.float64
+        assert [int(x) for x in enc.pow_float] == [int(float(x)) for x in enc.pow_table]
 
     def test_int64_guard_trips_on_huge_delays(self):
         game = Game.build(2, 40, [[[0, 1]], [[0], [1]], [[0], [1]]])
@@ -437,6 +447,35 @@ class TestBackendAgreement:
         C, c_star, count, worst, optimal = oracle_poa(game)
         assert (report.C, report.C_star, report.nash_count) == (C, c_star, count)
         assert (report.worst_nash, report.optimal) == (worst, optimal)
+
+
+@st.composite
+def object_path_games(draw):
+    """2-5 players over a few resources at degree 25-80, some of them
+    repeated so that types have several members: costs far above 2**53,
+    with ties and near ties common."""
+    z = draw(st.integers(2, 6))
+    strategy = st.lists(st.integers(0, z - 1), min_size=1, max_size=3, unique=True)
+    players = draw(st.lists(st.lists(strategy, min_size=1, max_size=3), min_size=1, max_size=4))
+    players += draw(st.lists(st.sampled_from(players), min_size=max(0, 2 - len(players)),
+                             max_size=5 - len(players)))
+    return Game.build(z, draw(st.integers(25, 80)), players)
+
+
+class TestFloatFilter:
+    @settings(max_examples=80, deadline=None)
+    @given(object_path_games(), st.sampled_from([3, 7]))
+    def test_object_path_flags_match_oracle(self, game, chunk):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "CHUNK", chunk)
+            enc = kernels.encode_game(game)
+        assume(not enc.int64_safe)
+        assert enc.pow_float is not None and enc.chunk <= chunk
+        for start in range(0, enc.num_orbits, enc.chunk):
+            _, mask = kernels.scan_range(enc, start, min(start + enc.chunk, enc.num_orbits))
+            for q, flag in enumerate(mask):
+                profile = kernels.profile_from_index(enc, start + q)
+                assert bool(flag) == oracle_is_nash(game, profile)
 
 
 class TestBlocks:
