@@ -36,6 +36,7 @@ CASES = {
     "transform_tight12": ["transform", "@tight12.json", "--trace"],
     "transform_forced_mark_d1": ["transform", "@forced_mark_d1.json", "--trace"],
     "transform_clean_leftover": ["transform", "@clean_leftover.json", "--trace"],
+    "transform_eliminate_probe": ["transform", "@eliminate_probe.json", "--trace"],
     "expansion_tight6": ["expansion", "@tight6.json"],
     "expansion_tight6_first": ["expansion", "@tight6.json", "--transform-first"],
     "expansion_forced_d1": ["expansion", "@forced_d1.json"],
@@ -117,6 +118,15 @@ def regenerate() -> None:
     # split, since no played resource is left for a residual player.
     save_game(generators.random_game(np.random.default_rng(16)),
               str(GOLDEN / "clean_leftover.json"))
+    # Player 0 plays 0 or 1; six players play 0 or six private resources and
+    # four play 1 or five.  The CLI's states put player 0 on resource 1 at
+    # congestion 5, tracked to resource 0 at 6, so at level 5 the trace
+    # reaches ``eliminate``: a singleton of resource 0 donates its detour.
+    fresh = iter(range(2, 58))
+    players = [[[0], [1]]]
+    players += [[[0], [next(fresh) for _ in range(6)]] for _ in range(6)]
+    players += [[[1], [next(fresh) for _ in range(5)]] for _ in range(4)]
+    save_game(Game.build(58, 1, players), str(GOLDEN / "eliminate_probe.json"))
     codes = {}
     for name, argv in sorted(CASES.items()):
         codes[name], out, err = run_case(argv)
