@@ -28,7 +28,7 @@ from typing import Any, Iterable, Sequence
 
 from . import equilibria
 from .errors import DominationError, PreconditionError, StructuralError
-from .game_core import Game, bottleneck, delay, switch_cost, validate_profile
+from .game_core import Game, delay, switch_cost, validate_profile
 
 
 @dataclass
@@ -65,8 +65,11 @@ class TwoStrategyGame:
     """Mutable transformation workspace.
 
     At every step no player's tracked strategy may be strictly cheaper than
-    its equilibrium one (one more user on each newly adopted resource); the
-    equilibrium congestion vector never changes.
+    its equilibrium one (one more user on each newly adopted resource).  Once
+    ``add_player`` has built the roster the equilibrium congestion never
+    changes, so a player's stability depends only on its own two strategies
+    and is checked where they change: ``replace`` checks every player it
+    creates, ``retrack`` the player it changes.
     """
 
     def __init__(
@@ -92,29 +95,26 @@ class TwoStrategyGame:
         # where an equilibrium strategy enters or leaves the roster.
         self._singles: dict[int, set[int]] = {}  # resource -> its singleton players
         self._multis: set[int] = set()
-        # Since the last check: players added, replaced in or retracked, and
-        # whether add_player moved the equilibrium congestion.
-        self._dirty: set[int] = set()
-        self._moved = False
 
     # -- roster -------------------------------------------------------------
 
     def add_player(self, eq_strategy: Iterable[int], opt_strategy: Iterable[int]) -> int:
         """Add a player on top of the current equilibrium congestion (used to
-        build the roster): the next check recomputes everyone."""
+        build the roster).  This moves the congestion, so it checks no one:
+        ``check_equilibrium`` checks the built roster."""
         eq = tuple(sorted(eq_strategy))
         if not eq:
             raise StructuralError("refusing to add a player with an empty equilibrium strategy")
         for r in eq:
             self._eq_cong[r] += 1
-        self._moved = True
         return self._enter(eq, tuple(sorted(opt_strategy)))
 
     def replace(self, pid: int, parts: Iterable[tuple[Iterable[int], Iterable[int]]]) -> list[int]:
         """Swap a player for one new player per (played, tracked) part; the
         only way a player leaves.  The played parts must partition the
         player's own strategy, checked before anything changes, so the
-        equilibrium congestion stays as it is.  Returns the new ids."""
+        equilibrium congestion stays as it is.  Each new player is then
+        checked, lowest id first.  Returns the new ids."""
         old = self.players[pid]
         parts = [(tuple(sorted(eq)), tuple(sorted(opt))) for eq, opt in parts]
         if not all(eq for eq, _ in parts) or (
@@ -124,8 +124,10 @@ class TwoStrategyGame:
                 f"{list(old.eq_strategy)} of player {pid}", state=self.to_dict())
         del self.players[pid]
         (self._singles[old.eq_strategy[0]] if old.is_singleton else self._multis).discard(pid)
-        self._dirty.discard(pid)
-        return [self._enter(eq, opt) for eq, opt in parts]
+        new_ids = [self._enter(eq, opt) for eq, opt in parts]
+        for nid in new_ids:
+            self._check(nid)
+        return new_ids
 
     def _enter(self, eq: tuple[int, ...], opt: tuple[int, ...]) -> int:
         """Index a new player whose played resources are already counted."""
@@ -136,16 +138,23 @@ class TwoStrategyGame:
             self._singles.setdefault(eq[0], set()).add(pid)
         else:
             self._multis.add(pid)
-        self._dirty.add(pid)
         return pid
 
     def retrack(self, pid: int, strategy: Iterable[int]) -> None:
-        """Give a player a new tracked strategy; the only way to change one."""
-        self.players[pid].opt_strategy = tuple(sorted(strategy))
-        self._dirty.add(pid)
+        """Give a player a new tracked strategy, the only way to change one,
+        and check the player.  An id outside ``[0, num_resources)`` is
+        refused before any congestion is read."""
+        opt = tuple(sorted(strategy))
+        if opt and not (0 <= opt[0] and opt[-1] < self.num_resources):
+            raise StructuralError(
+                f"tracked strategy {list(opt)} of player {pid} leaves the resources "
+                f"[0, {self.num_resources})", state=self.to_dict())
+        self.players[pid].opt_strategy = opt
+        self._check(pid)
 
-    def player_ids(self) -> list[int]:
-        return sorted(self.players)
+    def _played(self) -> set[int]:
+        """Resources someone plays: exactly those at congestion 1 or more."""
+        return set(chain.from_iterable(p.eq_strategy for p in self.players.values()))
 
     def singles_on(self, r: int) -> list[int]:
         """Ids of the singleton players on resource r, ascending."""
@@ -190,28 +199,18 @@ class TwoStrategyGame:
         dev = self.deviation(pid)
         return dev is None or self.cost(pid) <= dev
 
-    def check_equilibrium(self, full: bool = False) -> None:
-        """Raise on the lowest-id player that is not in equilibrium.
+    def check_equilibrium(self) -> None:
+        """Check every player, lowest id first: the full check of a roster
+        that ``add_player`` built, or that ``replace`` and ``retrack``, which
+        check each change as it happens, have kept."""
+        for pid in sorted(self.players):
+            self._check(pid)
 
-        By default only the players added, replaced in or retracked since the
-        last check are recomputed: every other one was stable then, at the
-        same equilibrium congestion (``replace`` keeps it), with the same
-        strategies.  If ``add_player`` moved the congestion since, or ``full``
-        is set, every player is recomputed.
-        """
-        for pid in sorted(self.players if full or self._moved else self._dirty):
-            if not self.in_equilibrium(pid):
-                raise StructuralError(
-                    f"player {pid} is no longer in equilibrium",
-                    state=self.to_dict(),
-                )
-        self._settle()
-
-    def _settle(self) -> None:
-        """Declare every player stable at the current equilibrium congestion
-        (the caller has just proven it)."""
-        self._dirty.clear()
-        self._moved = False
+    def _check(self, pid: int) -> None:
+        """Raise unless the player is in equilibrium."""
+        if not self.in_equilibrium(pid):
+            raise StructuralError(f"player {pid} is no longer in equilibrium",
+                                  state=self.to_dict())
 
     # -- views ----------------------------------------------------------------
 
@@ -253,8 +252,7 @@ def init_two_strategy(
         tsg.add_player(game.chosen(nash_profile, i), game.chosen(optimal_profile, i))
     if not equilibria._is_nash(game, nash_profile, tsg._eq_cong):
         raise PreconditionError("the supplied equilibrium profile is not a weak Nash state")
-    tsg._settle()  # _is_nash checked every player against both strategies
-    eq_c = tsg.eq_bottleneck = bottleneck(tsg._eq_cong)
+    eq_c = tsg.eq_bottleneck = max((tsg._eq_cong[r] for r in tsg._played()), default=0)
     opt_c = tsg.opt_bottleneck = tsg.tracked_opt_bottleneck()
     threshold = tsg.threshold = max(2 * game.degree, 3 * opt_c)
     tsg.record("init", players=game.num_players, eq_bottleneck=eq_c,
@@ -294,7 +292,7 @@ def clean_game(tsg: TwoStrategyGame) -> TwoStrategyGame:
     # resources above the threshold (their tracked sets feed the resource
     # graph analysis).  A tracked resource goes while the rest still cover
     # the player's cost.  Each removal only lowers the running deviation
-    # total, so a resource refused once stays refused: one pass suffices.
+    # total, so a resource refused once stays refused: one pass, then one retrack.
     for pid in sorted(qid for r, ids in tsg._singles.items()
                       if tsg._eq_cong[r] > tsg.threshold for qid in ids):
         player = tsg.players[pid]
@@ -302,19 +300,21 @@ def clean_game(tsg: TwoStrategyGame) -> TwoStrategyGame:
             continue
         cost = tsg.cost(pid)
         total = tsg.deviation(pid)
-        for r in sorted(player.opt_strategy, key=lambda r: (tsg._eq_cong[r], r)):
-            if len(player.opt_strategy) < 2:
+        kept = set(player.opt_strategy)
+        for r in sorted(kept, key=lambda r: (tsg._eq_cong[r], r)):
+            if len(kept) < 2:
                 break
             term = switch_cost(tsg._eq_cong, player.eq_strategy, (r,), tsg.degree)
             if cost <= total - term:
                 total -= term
-                tsg.retrack(pid, (x for x in player.opt_strategy if x != r))
+                kept.discard(r)
                 tsg.record("prune", player=pid, removed=r)
+        if len(kept) < len(player.opt_strategy):
+            tsg.retrack(pid, kept)
 
     # Splitting preserves tracked congestion; pruning may only lower it.
     if any(c > before_opt[r] for r, c in tsg.opt_congestion().items()):
         raise StructuralError("cleaning raised a tracked congestion", state=tsg.to_dict())
-    tsg.check_equilibrium()
     for pid in tsg.multi_ids():
         p = tsg.players[pid]
         if set(p.eq_strategy) & set(p.opt_strategy):
@@ -414,8 +414,8 @@ def split_player(tsg: TwoStrategyGame, pid: int) -> list[int]:
 
     The player's two strategies must be disjoint.  Equilibrium congestion is
     untouched (``replace`` checks that the played sides partition the
-    player's strategy); every sub-player is in equilibrium with cost at most the old
-    player's cost.
+    player's strategy, and that every sub-player is in equilibrium); every
+    sub-player costs at most the old player's cost.
     """
     player = tsg.players[pid]
     if player.is_singleton:
@@ -444,7 +444,6 @@ def split_player(tsg: TwoStrategyGame, pid: int) -> list[int]:
             raise StructuralError(
                 f"multi sub-player {nid} of {pid} costs {c}, above {cap}", state=tsg.to_dict()
             )
-    tsg.check_equilibrium()  # the new sub-players are dirty
     return new_ids
 
 
@@ -465,19 +464,15 @@ def eliminate_high_congestion(tsg: TwoStrategyGame, level: int, pid: int) -> Non
         x = player.opt_strategy[0]
         hosts = [qid for qid in tsg.singles_on(x) if qid != pid]
         if not hosts:
-            raise StructuralError(
-                f"no singleton player available on over-congested resource {x}",
-                state=tsg.to_dict(),
-            )
+            raise StructuralError(f"no singleton player available on over-congested resource {x}",
+                                  state=tsg.to_dict())
         hosts.sort(key=lambda qid: (-len(tsg.players[qid].opt_strategy), qid))
         cost = tsg.cost(pid)
         eq_set = set(player.eq_strategy)
         chosen = None
         for qid in hosts:
             donor = tsg.players[qid]
-            high = [
-                r for r in donor.opt_strategy if tsg._eq_cong[r] >= level
-            ]
+            high = [r for r in donor.opt_strategy if tsg._eq_cong[r] >= level]
             if high:
                 high.sort(key=lambda r: (tsg._eq_cong[r], r))
                 fset = (high[0],)
@@ -494,8 +489,7 @@ def eliminate_high_congestion(tsg: TwoStrategyGame, level: int, pid: int) -> Non
         if chosen is None:
             raise StructuralError(
                 f"no usable donor on over-congested resource {x} for player {pid}",
-                state=tsg.to_dict(),
-            )
+                state=tsg.to_dict())
         qid, fset = chosen
         before_opt = tsg.opt_congestion()
         tsg.retrack(pid, fset)
@@ -503,10 +497,8 @@ def eliminate_high_congestion(tsg: TwoStrategyGame, level: int, pid: int) -> Non
         tsg.record("eliminate", player=pid, donor=qid, resource=x, new_opt=list(fset))
         # Rewiring may only release tracked load, never add to it.
         if any(c > before_opt[r] for r, c in tsg.opt_congestion().items()):
-            raise StructuralError(
-                "tracked congestion increased during elimination",
-                state=tsg.to_dict(),
-            )
+            raise StructuralError("tracked congestion increased during elimination",
+                                  state=tsg.to_dict())
 
 
 def _multis_costing(tsg: TwoStrategyGame, low: int, high: float = math.inf) -> list[int]:
@@ -546,8 +538,7 @@ def run_phase(tsg: TwoStrategyGame, level: int) -> PhaseState:
         if len(opt) != 1 or tsg._eq_cong[opt[0]] < level:
             raise StructuralError(
                 f"band survivor {pid} is not tracked to one resource at level {level} "
-                f"or above", state=tsg.to_dict()
-            )
+                f"or above", state=tsg.to_dict())
 
     # A singleton player costs level**degree exactly when its resource sits
     # at the level.
@@ -585,7 +576,6 @@ def run_phase(tsg: TwoStrategyGame, level: int) -> PhaseState:
             raise StructuralError(
                 f"multi player {pid} still above level {level}", state=tsg.to_dict()
             )
-    tsg.check_equilibrium()
     tsg.record("phase", level=level, splits=phase.splits, markings=phase.markings)
     return phase
 
@@ -608,25 +598,22 @@ def _resolve_locked(tsg: TwoStrategyGame, phase: PhaseState, locked: list[int]) 
     order = tuple(sorted(singles, key=lambda r: (singles[r], r)))
     cursor = 0
     queue = deque(locked)
-    mark_budget = 4 * max(1, tsg.opt_bottleneck) * max(1, tsg._eq_cong.count(level)) + 64
+    at_level = sum(tsg._eq_cong[r] == level for r in tsg._played())
+    mark_budget = 4 * max(1, tsg.opt_bottleneck) * max(1, at_level) + 64
 
     while queue:
         pid = queue.popleft()
         player = tsg.players[pid]
         if phase.markings >= mark_budget:
-            raise StructuralError(
-                f"marking budget exhausted at level {level}", state=tsg.to_dict()
-            )
+            raise StructuralError(f"marking budget exhausted at level {level}",
+                                  state=tsg.to_dict())
         donor_pick = _pick_donor(tsg, order, cursor, player)
         if donor_pick is None:
-            raise StructuralError(
-                f"no unmarked donor available at level {level} for player {pid}",
-                state=tsg.to_dict(),
-            )
+            raise StructuralError(f"no unmarked donor available at level {level} for player {pid}",
+                                  state=tsg.to_dict())
         qid, resource, position = donor_pick
         donor = tsg.players[qid]
         tsg.retrack(pid, set(donor.opt_strategy) | set(player.opt_strategy))
-        tsg.check_equilibrium()  # the merged player is dirty
         new_ids = split_player(tsg, pid)
         phase.splits += 1
         tsg.retrack(qid, (resource,))
@@ -693,14 +680,12 @@ def transform_to_singletons(
     for level in range(tsg.eq_bottleneck, tsg.threshold, -1):
         run_phase(tsg, level)
 
-    tsg.check_equilibrium(full=True)
+    tsg.check_equilibrium()
     for pid in tsg.multi_ids():
         for r in tsg.players[pid].eq_strategy:
             if tsg._eq_cong[r] > tsg.threshold:
-                raise StructuralError(
-                    f"multi player {pid} left on over-congested resource {r}",
-                    state=tsg.to_dict(),
-                )
+                raise StructuralError(f"multi player {pid} left on over-congested resource {r}",
+                                      state=tsg.to_dict())
     return tsg
 
 

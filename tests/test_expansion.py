@@ -210,6 +210,31 @@ class TestDescendantCount:
         with pytest.raises(PreconditionError):
             descendant_count_check(rg, 3)
 
+    def test_walk_through_high_nodes_matches_a_bfs(self):
+        # High nodes 0 -> 1 -> 2 form a chain, 2 <-> 3 a 2-cycle; terminal 10
+        # is reached from 0, 1 and 3, and 13 only from the root 0.
+        rg = ResourceGraph(
+            num_resources=14,
+            congestion={0: 9, 1: 8, 2: 7, 3: 6},
+            degree=1,
+            threshold=3,
+            opt_cap=1,
+            children={0: (1, 10, 13), 1: (2, 10), 2: (3, 11), 3: (2, 10, 12, 12)},
+        )
+
+        def bfs_terminals(root):
+            seen, queue = {root}, [root]
+            for node in queue:
+                for y in rg.children.get(node, ()):
+                    if y not in seen:
+                        seen.add(y)
+                        queue.append(y)
+            return {y for y in seen if y not in rg.congestion}
+
+        counts = {root: descendant_count_check(rg, root)[0] for root in rg.v1}
+        assert counts == {root: len(bfs_terminals(root)) for root in rg.v1}
+        assert counts == {0: 4, 1: 3, 2: 3, 3: 3}
+
 
 class TestBounds:
     def test_degenerate_single_resource(self):

@@ -115,12 +115,13 @@ class TestClean:
         assert np.array_equal(tsg.opt_congestion(), opt_before)
 
     def test_raised_tracked_load_is_caught(self, monkeypatch):
-        # A pruning that adds a tracked id instead of removing one; the id is
-        # outside the game, so the check compares counts key by key.
+        # A pruning that also tracks the player to a resource no one was
+        # tracked to: the player stays stable, so only the load check fires.
         game, s_eq, s_opt = slack_hub_game(np.random.default_rng(0), 1)
         tsg = init_two_strategy(game, s_eq, s_opt)
+        spare = min(set(range(game.num_resources)) - set(tsg.opt_congestion()))
         retrack = tsg.retrack
-        monkeypatch.setattr(tsg, "retrack", lambda pid, s: retrack(pid, (*s, game.num_resources)))
+        monkeypatch.setattr(tsg, "retrack", lambda pid, s: retrack(pid, (*s, spare)))
         with pytest.raises(StructuralError, match="raised a tracked congestion"):
             clean_game(tsg)
 
@@ -128,7 +129,7 @@ class TestClean:
 def reference_prune(tsg):
     """The restart-from-scratch pruning loop that ``clean_game`` replaced:
     after every removal it scans the sorted tracked strategy again."""
-    for pid in tsg.player_ids():
+    for pid in sorted(tsg.players):
         player = tsg.players[pid]
         if not player.is_singleton:
             continue
@@ -305,11 +306,12 @@ class TestSplitPlayer:
 
 
 class TestEliminate:
-    def _manual_tsg(self):
+    def _manual_tsg(self, idle=0):
         # resource 0 congested to 4 by singleton players; resource 1 is a
         # spare tracked target of one of them; resource 2 hosts the player
-        # whose tracked strategy points at resource 0
-        tsg = TwoStrategyGame(num_resources=3, degree=1, threshold=2,
+        # whose tracked strategy points at resource 0; ``idle`` more
+        # resources that no one plays or is tracked to
+        tsg = TwoStrategyGame(num_resources=3 + idle, degree=1, threshold=2,
                               eq_bottleneck=4, opt_bottleneck=1)
         donor = tsg.add_player([0], [1])       # largest tracked set on 0
         for _ in range(3):
@@ -344,10 +346,11 @@ class TestEliminate:
         tsg.check_equilibrium()
 
     def test_raised_tracked_load_is_caught(self, monkeypatch):
-        # A rewiring that also tracks both players to an id outside the game.
-        tsg, donor, mover = self._manual_tsg()
+        # A rewiring that also tracks both players to the idle resource 3:
+        # both stay stable, so only the load check fires.
+        tsg, donor, mover = self._manual_tsg(idle=1)
         retrack = tsg.retrack
-        monkeypatch.setattr(tsg, "retrack", lambda pid, s: retrack(pid, (*s, tsg.num_resources)))
+        monkeypatch.setattr(tsg, "retrack", lambda pid, s: retrack(pid, (*s, 3)))
         with pytest.raises(StructuralError, match="tracked congestion increased"):
             eliminate_high_congestion(tsg, 3, mover)
 
@@ -375,45 +378,21 @@ def assert_index_matches_roster(tsg):
     assert tsg._eq_cong == counts
 
 
-def strategies_of(tsg):
-    return {pid: (p.eq_strategy, p.opt_strategy) for pid, p in tsg.players.items()}
-
-
-def check_concludes_stable(tsg):
-    """What ``check_equilibrium`` would conclude now, without changing tsg."""
-    try:
-        copy.deepcopy(tsg).check_equilibrium()
-    except StructuralError:
-        return False
-    return True
-
-
 class TestRosterIndex:
     @pytest.fixture(autouse=True)
     def check_after_every_record(self, monkeypatch):
+        # Each change is checked where it happens, so at every step the trace
+        # records, every player is stable when recounted from the roster.
         record = TwoStrategyGame.record
-        check = TwoStrategyGame.check_equilibrium
         self.ops = []
-        self.settled = {}  # id(tsg) -> strategies at its last check
 
         def checked(tsg, op, **details):
             record(tsg, op, **details)
             assert_index_matches_roster(tsg)
-            if op == "init":  # init_two_strategy has just run is_nash
-                self.settled[id(tsg)] = strategies_of(tsg)
-            settled = self.settled.get(id(tsg), {})
-            changed = {pid for pid, both in strategies_of(tsg).items()
-                       if settled.get(pid) != both}
-            assert changed <= tsg._dirty, (op, changed - tsg._dirty)
-            assert stable_from_scratch(tsg) == check_concludes_stable(tsg), op
+            assert stable_from_scratch(tsg), op
             self.ops.append(op)
 
-        def settling(tsg, *args, **kwargs):
-            check(tsg, *args, **kwargs)
-            self.settled[id(tsg)] = strategies_of(tsg)
-
         monkeypatch.setattr(TwoStrategyGame, "record", checked)
-        monkeypatch.setattr(TwoStrategyGame, "check_equilibrium", settling)
 
     def test_transforms_keep_the_index(self):
         for game, s_eq, s_opt in pruning_cases():
@@ -439,7 +418,6 @@ class TestIncrementalCheck:
         c = tsg.add_player([0], [1, 2])
         d = tsg.add_player([1], [1])
         tsg.check_equilibrium()
-        assert not tsg._dirty
         self.rechecked = []
         in_equilibrium = tsg.in_equilibrium
 
@@ -453,30 +431,33 @@ class TestIncrementalCheck:
     def test_only_retracked_players_are_rechecked(self):
         tsg, a, b, _, _ = self._settled()
         tsg.retrack(b, [1, 2])
-        tsg.check_equilibrium()
         assert self.rechecked == [b]
-        tsg.check_equilibrium(full=True)
-        assert self.rechecked == [b] + tsg.player_ids()
+        tsg.check_equilibrium()
+        assert self.rechecked == [b] + sorted(tsg.players)
 
     def test_retracked_player_is_caught(self):
+        # The retrack itself raises, before anything else can run.
         tsg, a, _, _, _ = self._settled()
-        tsg.retrack(a, [2])  # pays 3, would pay 1
         with pytest.raises(StructuralError, match=f"player {a} "):
-            tsg.check_equilibrium()
+            tsg.retrack(a, [2])  # pays 3, would pay 1
+        assert self.rechecked == [a]
 
     def test_lowest_failing_player_is_reported(self):
+        # Tracked strategies set past retrack: the full check names the
+        # lowest failing id.
         tsg, a, b, _, _ = self._settled()
-        tsg.retrack(b, [2])
-        tsg.retrack(a, [2])
+        tsg.players[b].opt_strategy = (2,)
+        tsg.players[a].opt_strategy = (2,)
         with pytest.raises(StructuralError, match=f"player {a} "):
             tsg.check_equilibrium()
 
     def test_moved_congestion_rechecks_everyone(self):
         # A fourth user on resource 0 makes the clean player c prefer its
-        # tracked pair: every player is rechecked in id order up to c.
+        # tracked pair.  add_player checks no one; the next check rechecks
+        # every player in id order up to c.
         tsg, a, b, c, _ = self._settled()
         tsg.add_player([0], [0])
-        assert c not in tsg._dirty
+        assert self.rechecked == []
         with pytest.raises(StructuralError, match=f"player {c} "):
             tsg.check_equilibrium()
         assert self.rechecked == [a, b, c]
@@ -485,13 +466,23 @@ class TestIncrementalCheck:
         tsg, _, _, _, d = self._settled()
         twin = tsg.players[d]
         (new,) = tsg.replace(d, [(twin.eq_strategy, twin.opt_strategy)])
-        tsg.check_equilibrium()
         assert self.rechecked == [new]
+
+    @pytest.mark.parametrize("bad", [3, -1])
+    def test_retrack_refuses_ids_outside_the_game(self, bad):
+        # Refused before any congestion is read: -1 would read the last
+        # resource, and 3 would index past the vector.
+        tsg, a, _, _, _ = self._settled()
+        with pytest.raises(StructuralError, match=r"leaves the resources \[0, 3\)"):
+            tsg.retrack(a, [1, bad])
+        assert tsg.players[a].opt_strategy == (0,)
+        assert self.rechecked == []
 
 
 class TestReplace:
     def _workspace(self):
-        # Player p plays {0, 1} and is tracked to {2}; q plays {1}.
+        # Congestion 1, 2, 0, 0.  Player p plays {0, 1} and is tracked to
+        # {2}; q plays {1}.
         tsg = TwoStrategyGame(num_resources=4, degree=1, threshold=1,
                               eq_bottleneck=2, opt_bottleneck=1)
         p = tsg.add_player([0, 1], [2])
@@ -501,12 +492,18 @@ class TestReplace:
     def test_parts_that_partition_the_strategy_take_the_players_place(self):
         tsg, p = self._workspace()
         cong = list(tsg._eq_cong)
-        new_ids = tsg.replace(p, [([1], [2]), ([0], [2, 3])])
-        assert p not in tsg.players and p not in tsg._dirty
+        new_ids = tsg.replace(p, [([1], [2, 3]), ([0], [2])])
+        assert p not in tsg.players
         assert [(tsg.players[n].eq_strategy, tsg.players[n].opt_strategy)
-                for n in new_ids] == [((1,), (2,)), ((0,), (2, 3))]
+                for n in new_ids] == [((1,), (2, 3)), ((0,), (2,))]
         assert tsg._eq_cong == cong
         assert_index_matches_roster(tsg)
+
+    def test_unstable_part_is_caught_at_once(self):
+        # The new player on resource 1 pays 2 and would pay 1 on resource 2.
+        tsg, p = self._workspace()
+        with pytest.raises(StructuralError, match="player 3 is no longer"):
+            tsg.replace(p, [([0], [2]), ([1], [2])])
 
     @pytest.mark.parametrize("parts", [
         pytest.param([([0], [2])], id="drops_an_id"),
@@ -517,11 +514,10 @@ class TestReplace:
     def test_parts_that_do_not_partition_are_refused_unchanged(self, parts):
         tsg, p = self._workspace()
         before = copy.deepcopy((tsg.players, tsg._singles, tsg._multis, tsg._eq_cong,
-                                tsg._dirty, tsg._next_id))
+                                tsg._next_id))
         with pytest.raises(StructuralError, match=f"partition the strategy .* of player {p}"):
             tsg.replace(p, parts)
-        assert (tsg.players, tsg._singles, tsg._multis, tsg._eq_cong,
-                tsg._dirty, tsg._next_id) == before
+        assert (tsg.players, tsg._singles, tsg._multis, tsg._eq_cong, tsg._next_id) == before
 
 
 def test_no_player_is_rechecked_unchanged(monkeypatch):
@@ -541,10 +537,10 @@ def test_no_player_is_rechecked_unchanged(monkeypatch):
             seen.add(key)
         return in_equilibrium(tsg, pid)
 
-    def flagged(tsg, full=False):
-        in_full[0] = full
+    def flagged(tsg):
+        in_full[0] = True
         try:
-            check(tsg, full)
+            check(tsg)
         finally:
             in_full[0] = False
 
@@ -561,9 +557,8 @@ def test_no_player_is_rechecked_unchanged(monkeypatch):
 
 
 def test_tracked_strategies_change_only_through_retrack():
-    # The incremental check trusts every player that was not retracked, and
-    # the equilibrium congestion that only the workspace's own add_player
-    # and replace keep.
+    # Only retrack and replace check a changed player, and only the
+    # workspace's own add_player and replace keep the equilibrium congestion.
     found = []
     for path in sorted(Path(polybottleneck.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -612,14 +607,15 @@ def test_only_replace_removes_a_player():
 
 
 def test_only_check_equilibrium_decides_stability():
-    # Its dirty set and congestion guard are what make skipping a player safe.
+    # Its per-player step ``_check``, which replace and retrack also call, is
+    # the one reader: every other path would skip the check of a change.
     found = []
     for path in sorted(Path(polybottleneck.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
         allowed = {
             id(node)
             for fn in ast.walk(tree)
-            if isinstance(fn, ast.FunctionDef) and fn.name == "check_equilibrium"
+            if isinstance(fn, ast.FunctionDef) and fn.name == "_check"
             for node in ast.walk(fn)
         }
         found += [
@@ -648,7 +644,7 @@ class TestRunPhase:
         clean_game(tsg)
         # phase precondition: players beyond the top band are split up front
         top = (tsg.eq_bottleneck + 1) ** tsg.degree
-        for pid in tsg.player_ids():
+        for pid in sorted(tsg.players):
             if not tsg.players[pid].is_singleton and tsg.cost(pid) > top:
                 split_player(tsg, pid)
         level = tsg.eq_bottleneck
@@ -752,14 +748,15 @@ class TestVerifyDomination:
     def test_out_of_range_tracked_id_is_counted_apart(self, case):
         # Everyone but one player is tracked to the last resource; that one
         # is tracked to an id outside the game.  It must count on its own:
-        # not raise, and not land on the last resource.
+        # not raise, and not land on the last resource.  The strategies are
+        # set directly: retrack would refuse the bad id and unstable players.
         game, s_eq, s_opt = generators.forced_congestion_game(np.random.default_rng(5), degree=1)
         tsg = transform_to_singletons(game, s_eq, s_opt)
-        first, *rest = tsg.player_ids()
+        first, *rest = sorted(tsg.players)
         for qid in rest:
-            tsg.retrack(qid, (game.num_resources - 1,))
+            tsg.players[qid].opt_strategy = (game.num_resources - 1,)
         bad = game.num_resources if case == "tracked_id_past_range" else -1
-        tsg.retrack(first, (bad,))
+        tsg.players[first].opt_strategy = (bad,)
         assert tsg.opt_congestion() == {game.num_resources - 1: len(rest), bad: 1}
         assert tsg.tracked_opt_bottleneck() == len(rest)
         assert tsg.to_dict()["tracked_opt_bottleneck"] == len(rest)
@@ -770,7 +767,8 @@ class TestVerifyDomination:
 def tamper(case, game, tsg):
     """Break one domination flag of a transformed roster.  The player edited
     is the lowest-id singleton on the equilibrium bottleneck resource (the
-    hub); the idle resource is the lowest one that no one plays."""
+    hub); the idle resource is the lowest one that no one plays.  Tracked
+    strategies are set directly, since ``retrack`` refuses the broken ones."""
     cong = tsg.eq_congestion()
     hub, idle = cong.index(tsg.eq_bottleneck), cong.index(0)
     pid = tsg.singles_on(hub)[0]
@@ -778,11 +776,11 @@ def tamper(case, game, tsg):
     if case == "eq_rewritten_in_place":  # past add_player and replace
         player.eq_strategy = (idle,)
     elif case == "tracked_id_past_range":
-        tsg.retrack(pid, player.opt_strategy + (game.num_resources,))
+        player.opt_strategy += (game.num_resources,)
     elif case == "tracked_id_negative":
-        tsg.retrack(pid, player.opt_strategy + (-1,))
+        player.opt_strategy = (-1,) + player.opt_strategy
     elif case == "hub_retracked_to_idle":  # a detour at congestion 1 beats the hub
-        tsg.retrack(pid, (idle,))
+        player.opt_strategy = (idle,)
     elif case == "tracked_stacked":  # everyone tracked to the hub: stable, but 7x exceeded
-        for qid in tsg.player_ids():
+        for qid in sorted(tsg.players):
             tsg.retrack(qid, (hub,))
