@@ -443,8 +443,8 @@ class TestIncrementalCheck:
         assert self.rechecked == [a]
 
     def test_lowest_failing_player_is_reported(self):
-        # Tracked strategies set past retrack: the full check names the
-        # lowest failing id.
+        # Tracked strategies set directly, past retrack's own check: the full
+        # check names the lowest failing id.
         tsg, a, b, _, _ = self._settled()
         tsg.players[b].opt_strategy = (2,)
         tsg.players[a].opt_strategy = (2,)
