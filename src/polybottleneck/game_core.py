@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import IO, Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -249,14 +249,11 @@ def game_from_dict(data: Any) -> Game:
     return Game.build(num_resources=num_resources, degree=degree, players=players)
 
 
-def load_game(source: str | IO[str]) -> Game:
-    """Load a game from a JSON file path or open text stream."""
+def load_game(path: str) -> Game:
+    """Load a game from a JSON file."""
     try:
-        if isinstance(source, str):
-            with open(source, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        else:
-            text = source.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
     except UnicodeDecodeError as exc:
         raise GameFormatError(f"game file is not UTF-8 text: {exc}") from exc
     try:
@@ -266,10 +263,7 @@ def load_game(source: str | IO[str]) -> Game:
     return game_from_dict(data)
 
 
-def save_game(game: Game, destination: str | IO[str]) -> None:
-    text = json.dumps(game_to_dict(game), indent=2, sort_keys=True)
-    if isinstance(destination, str):
-        with open(destination, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        destination.write(text + "\n")
+def save_game(game: Game, path: str) -> None:
+    """Write a game to a JSON file, keys sorted."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(game_to_dict(game), indent=2, sort_keys=True) + "\n")

@@ -49,7 +49,7 @@ class _ResourcePool:
 
 def forced_congestion_game(
     rng: np.random.Generator,
-    degree: int | None = None,
+    degree: int,
 ) -> tuple[Game, Profile, Profile]:
     """Two-strategy game whose equilibrium bottleneck exceeds the
     transformation threshold, with optimal bottleneck exactly 1.
@@ -61,7 +61,7 @@ def forced_congestion_game(
     donor-marking rounds of the transformation).  Returns the game, the
     all-first-strategy equilibrium state, and the all-detour optimal state.
     """
-    m = int(degree) if degree is not None else int(rng.choice([1, 2]))
+    m = int(degree)
     thr = max(2 * m, 3)  # optimal bottleneck is 1 by construction
     hub_users = int(rng.integers(thr + 1, thr + 4))
     pool = _ResourcePool()

@@ -44,14 +44,6 @@ class TwoStrategyPlayer:
         return len(self.eq_strategy) == 1
 
 
-@dataclass(frozen=True)
-class PartitionPair:
-    """One output element of the greedy strategy partition."""
-
-    eq_part: tuple[int, ...]
-    opt_part: tuple[int, ...]
-
-
 @dataclass
 class PhaseState:
     """Summary of one congestion level of the phase loop."""
@@ -99,22 +91,24 @@ class TwoStrategyGame:
     # -- roster -------------------------------------------------------------
 
     def add_player(self, eq_strategy: Iterable[int], opt_strategy: Iterable[int]) -> int:
-        """Add a player on top of the current equilibrium congestion (used to
-        build the roster).  This moves the congestion, so it checks no one:
-        ``check_equilibrium`` checks the built roster."""
+        """Add a player on top of the current equilibrium congestion, once both
+        strategies are range-checked.  This builds the roster and moves the
+        congestion, so it checks no one: ``check_equilibrium`` does."""
         eq = tuple(sorted(eq_strategy))
+        opt = tuple(sorted(opt_strategy))
         if not eq:
             raise StructuralError("refusing to add a player with an empty equilibrium strategy")
+        self._check_ids(self._next_id, (eq, opt))
         for r in eq:
             self._eq_cong[r] += 1
-        return self._enter(eq, tuple(sorted(opt_strategy)))
+        return self._enter(eq, opt)
 
     def replace(self, pid: int, parts: Iterable[tuple[Iterable[int], Iterable[int]]]) -> list[int]:
         """Swap a player for one new player per (played, tracked) part; the
-        only way a player leaves.  The played parts must partition the
-        player's own strategy, checked before anything changes, so the
-        equilibrium congestion stays as it is.  Each new player is then
-        checked, lowest id first.  Returns the new ids."""
+        only way a player leaves.  Before anything changes, the played parts
+        must partition the player's strategy, so the equilibrium congestion
+        stays, and every tracked part is range-checked.  Each new player is
+        then checked, lowest id first.  Returns the new ids."""
         old = self.players[pid]
         parts = [(tuple(sorted(eq)), tuple(sorted(opt))) for eq, opt in parts]
         if not all(eq for eq, _ in parts) or (
@@ -122,6 +116,7 @@ class TwoStrategyGame:
             raise StructuralError(
                 f"parts {[list(eq) for eq, _ in parts]} do not partition the strategy "
                 f"{list(old.eq_strategy)} of player {pid}", state=self.to_dict())
+        self._check_ids(pid, (opt for _, opt in parts))
         del self.players[pid]
         (self._singles[old.eq_strategy[0]] if old.is_singleton else self._multis).discard(pid)
         new_ids = [self._enter(eq, opt) for eq, opt in parts]
@@ -142,15 +137,19 @@ class TwoStrategyGame:
 
     def retrack(self, pid: int, strategy: Iterable[int]) -> None:
         """Give a player a new tracked strategy, the only way to change one,
-        and check the player.  An id outside ``[0, num_resources)`` is
-        refused before any congestion is read."""
+        and check the player.  The strategy is range-checked first."""
         opt = tuple(sorted(strategy))
-        if opt and not (0 <= opt[0] and opt[-1] < self.num_resources):
-            raise StructuralError(
-                f"tracked strategy {list(opt)} of player {pid} leaves the resources "
-                f"[0, {self.num_resources})", state=self.to_dict())
+        self._check_ids(pid, (opt,))
         self.players[pid].opt_strategy = opt
         self._check(pid)
+
+    def _check_ids(self, pid: int, strategies: Iterable[tuple[int, ...]]) -> None:
+        """Refuse sorted strategies with an id outside ``[0, num_resources)``
+        before they enter the workspace: every strategy that enters comes here."""
+        for s in strategies:
+            if s and not (0 <= s[0] and s[-1] < self.num_resources):
+                raise StructuralError(f"strategy {list(s)} of player {pid} leaves the resources "
+                                      f"[0, {self.num_resources})", state=self.to_dict())
 
     def _played(self) -> set[int]:
         """Resources someone plays: exactly those at congestion 1 or more."""
@@ -329,52 +328,48 @@ def clean_game(tsg: TwoStrategyGame) -> TwoStrategyGame:
 # ---------------------------------------------------------------------------
 
 def greedy_cover_pairs(
-    eq_items: Sequence[tuple[int, int]],
-    opt_items: Sequence[tuple[int, int]],
+    played: Sequence[int],
+    tracked: Sequence[int],
+    congestion: Sequence[int] | dict[int, int],
     degree: int,
-) -> list[PartitionPair]:
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Pair equilibrium resources with covering tracked resources.
 
-    ``eq_items`` and ``opt_items`` are (resource id, congestion) lists for a
-    player whose two strategies are disjoint.  Requires the equilibrium
-    inequality sum((c+1)**M over tracked) >= sum(c**M over played); produces
-    pairs where the tracked side always covers the played side at +1
+    ``played`` and ``tracked`` are a player's two disjoint strategies, priced
+    on any ``congestion`` that ``switch_cost`` reads.  Requires the
+    equilibrium inequality sum((c+1)**M over tracked) >= sum(c**M over
+    played); returns the sorted (played, tracked) parts that ``replace``
+    takes, where the tracked side always covers the played side at +1
     congestion, the played sides partition the strategy, every pair has a
     singleton side, consecutive tracked sides share at most one boundary
     resource, and no tracked resource appears in more than two pairs.
     """
-    if not eq_items:
+    if not played:
         raise PreconditionError("nothing to partition: empty equilibrium strategy")
-    eq = sorted(eq_items, key=lambda rc: (-rc[1], rc[0]))
-    opt = sorted(opt_items, key=lambda rc: (rc[1], rc[0]))
+    eq = sorted(played, key=lambda r: (-congestion[r], r))
+    opt = sorted(tracked, key=lambda r: (congestion[r], r))
     m = len(opt)
-    congestion = dict(eq_items) | dict(opt_items)
-    needs = [switch_cost(congestion, (r,), (r,), degree) for r, _ in eq]
-    values = [switch_cost(congestion, (), (r,), degree) for r, _ in opt]
+    needs = [switch_cost(congestion, (r,), (r,), degree) for r in eq]
+    values = [switch_cost(congestion, (), (r,), degree) for r in opt]
     if sum(values) < sum(needs):
-        raise PreconditionError(
-            "player is not in equilibrium: tracked resources cannot cover its cost"
-        )
+        raise PreconditionError("player is not in equilibrium: "
+                                "tracked resources cannot cover its cost")
     uses = [0] * m
-    pairs: list[PartitionPair] = []
+    pairs: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     start = 0
     i = 0
     while i < len(eq):
         need = needs[i]
-        group = [eq[i][0]]
+        group = [eq[i]]
         cover: list[int] = []
         total = 0
-        q = start
-        boundary = start
+        # ``start`` has a use left, and every later index is unused.
+        q = boundary = start
         while total < need:
-            while q < m and uses[q] >= 2:
-                q += 1
             if q >= m:
-                raise StructuralError(
-                    "ran out of tracked resources while forming cover pairs",
-                    state={"eq": list(eq), "opt": list(opt), "pairs": [p for p in pairs]},
-                )
-            cover.append(opt[q][0])
+                raise StructuralError("ran out of tracked resources while forming cover pairs",
+                                      state={"eq": eq, "opt": opt, "pairs": pairs})
+            cover.append(opt[q])
             uses[q] += 1
             total += values[q]
             boundary = q
@@ -386,25 +381,22 @@ def greedy_cover_pairs(
             # Last tracked resource: absorb further played resources while the
             # single cover still dominates them.
             capacity = values[boundary]
-            cover_c = opt[boundary][1]
+            cover_c = congestion[opt[boundary]]
             group_mass = need
             while i < len(eq):
-                rid, c = eq[i]
-                if c > cover_c or group_mass + needs[i] > capacity:
+                if congestion[eq[i]] > cover_c or group_mass + needs[i] > capacity:
                     break
-                group.append(rid)
+                group.append(eq[i])
                 group_mass += needs[i]
                 i += 1
-        pairs.append(PartitionPair(tuple(sorted(group)), tuple(sorted(cover))))
+        pairs.append((tuple(sorted(group)), tuple(sorted(cover))))
 
     # Use as much of the tracked strategy as possible: sweep leftover tracked
     # resources into the final pair when its played side is a singleton.
-    leftover = [opt[j][0] for j in range(m) if uses[j] == 0]
-    if leftover and len(pairs[-1].eq_part) == 1:
-        last = pairs[-1]
-        pairs[-1] = PartitionPair(
-            last.eq_part, tuple(sorted(set(last.opt_part) | set(leftover)))
-        )
+    leftover = [opt[j] for j in range(m) if uses[j] == 0]
+    if leftover and len(pairs[-1][0]) == 1:
+        group, cover = pairs[-1]
+        pairs[-1] = (group, tuple(sorted({*cover, *leftover})))
     return pairs
 
 
@@ -421,29 +413,23 @@ def split_player(tsg: TwoStrategyGame, pid: int) -> list[int]:
     if player.is_singleton:
         raise PreconditionError(f"player {pid} already uses a single resource")
     if set(player.eq_strategy) & set(player.opt_strategy):
-        raise PreconditionError(
-            f"player {pid} has overlapping strategies; clean the game first"
-        )
-    eq_items = [(r, tsg._eq_cong[r]) for r in player.eq_strategy]
-    opt_items = [(r, tsg._eq_cong[r]) for r in player.opt_strategy]
-    pairs = greedy_cover_pairs(eq_items, opt_items, tsg.degree)
+        raise PreconditionError(f"player {pid} has overlapping strategies; clean the game first")
+    pairs = greedy_cover_pairs(player.eq_strategy, player.opt_strategy, tsg._eq_cong, tsg.degree)
     old_cost = tsg.cost(pid)
     # A multi sub-player may cost at most joining its most congested tracked resource.
     dearest = max(player.opt_strategy, key=lambda r: tsg._eq_cong[r])
     cap = switch_cost(tsg._eq_cong, (), (dearest,), tsg.degree)
-    new_ids = tsg.replace(pid, [(p.eq_part, p.opt_part) for p in pairs])
+    new_ids = tsg.replace(pid, pairs)
     tsg.record("split", player=pid, new_ids=new_ids,
-               pairs=[[list(p.eq_part), list(p.opt_part)] for p in pairs])
+               pairs=[[list(eq), list(opt)] for eq, opt in pairs])
     for nid in new_ids:
         c = tsg.cost(nid)
         if c > old_cost:
-            raise StructuralError(
-                f"sub-player {nid} of {pid} costs {c}, more than {old_cost}", state=tsg.to_dict()
-            )
+            raise StructuralError(f"sub-player {nid} of {pid} costs {c}, more than {old_cost}",
+                                  state=tsg.to_dict())
         if not tsg.players[nid].is_singleton and c > cap:
-            raise StructuralError(
-                f"multi sub-player {nid} of {pid} costs {c}, above {cap}", state=tsg.to_dict()
-            )
+            raise StructuralError(f"multi sub-player {nid} of {pid} costs {c}, above {cap}",
+                                  state=tsg.to_dict())
     return new_ids
 
 

@@ -171,26 +171,26 @@ def test_criterion_5_partition_properties():
         while sum((c + 1) ** degree for _, c in opt) < needs:
             opt.append((200 + j, int(rng.integers(0, 10))))
             j += 1
-        pairs = greedy_cover_pairs(eq, opt, degree)
         cong = dict(eq) | dict(opt)
+        pairs = greedy_cover_pairs([r for r, _ in eq], [r for r, _ in opt], cong, degree)
         # (a) played sides disjointly cover the equilibrium strategy
-        played = [r for p in pairs for r in p.eq_part]
+        played = [r for eq_part, _ in pairs for r in eq_part]
         assert sorted(played) == sorted(r for r, _ in eq)
-        for p in pairs:
+        for eq_part, opt_part in pairs:
             # (b) cover inequality, exact integers
             assert (
-                sum((cong[r] + 1) ** degree for r in p.opt_part)
-                >= sum(cong[r] ** degree for r in p.eq_part)
+                sum((cong[r] + 1) ** degree for r in opt_part)
+                >= sum(cong[r] ** degree for r in eq_part)
             )
             # (c) a singleton side in every pair
-            assert len(p.eq_part) == 1 or len(p.opt_part) == 1
-            if len(p.eq_part) > 1:
-                assert cong[p.opt_part[0]] >= max(cong[r] for r in p.eq_part)
+            assert len(eq_part) == 1 or len(opt_part) == 1
+            if len(eq_part) > 1:
+                assert cong[opt_part[0]] >= max(cong[r] for r in eq_part)
         # (d) consecutive overlap at most one resource
-        for a, b in zip(pairs, pairs[1:]):
-            assert len(set(a.opt_part) & set(b.opt_part)) <= 1
+        for (_, a), (_, b) in zip(pairs, pairs[1:]):
+            assert len(set(a) & set(b)) <= 1
         # (e) no tracked resource in more than two pairs
-        usage = Counter(r for p in pairs for r in set(p.opt_part))
+        usage = Counter(r for _, opt_part in pairs for r in set(opt_part))
         assert all(v <= 2 for v in usage.values())
         checked += 1
     elapsed = time.monotonic() - start

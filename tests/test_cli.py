@@ -102,6 +102,28 @@ class TestAnalyze:
         assert_usage_error(rc, err)
         assert out == ""
 
+    @pytest.mark.parametrize("document, problem", [
+        pytest.param([], "must be an object", id="not_an_object"),
+        pytest.param({"degree": 1, "num_resources": 2.5, "players": [[[0]]]},
+                     "'num_resources' must be an integer", id="float_num_resources"),
+        pytest.param({"degree": 1, "num_resources": True, "players": [[[0]]]},
+                     "'num_resources' must be an integer", id="bool_num_resources"),
+        pytest.param({"degree": 1, "num_resources": 2, "players": [[]]},
+                     "player 0: strategy set must be a non-empty list", id="empty_strategy_set"),
+        pytest.param({"degree": 1, "num_resources": 2, "players": [[[0]], 5]},
+                     "player 1: strategy set must be a non-empty list", id="strategy_set_not_a_list"),
+        pytest.param({"degree": 1, "num_resources": 2, "players": [[[0], 1]]},
+                     "player 0 strategy 1: must be a list", id="strategy_not_a_list"),
+    ])
+    def test_malformed_document_is_format_error(self, document, problem, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(document))
+        rc = main(["analyze", str(path)])
+        out, err = capsys.readouterr()
+        assert_usage_error(rc, err)
+        assert problem in err
+        assert out == ""
+
     def test_calls_in_one_process_match_fresh_processes(self, family_file, capsys):
         # One parser serves every call in a process; no call may leak into the next.
         calls = [["analyze"], ["analyze", family_file], ["analyze"]]

@@ -173,7 +173,7 @@ class TestCheckExpansion:
     def test_holds_on_all_transformed_games(self):
         for seed in range(10):
             rng = np.random.default_rng(seed)
-            game, s_eq, s_opt = generators.forced_congestion_game(rng)
+            game, s_eq, s_opt = generators.forced_congestion_game(rng, int(rng.choice([1, 2])))
             tsg = transform.transform_to_singletons(game, s_eq, s_opt)
             rg = build_resource_graph(tsg)
             for x in rg.v1:
@@ -195,7 +195,7 @@ class TestDescendantCount:
     def test_holds_on_transformed_games_at_max_root(self):
         for seed in range(10):
             rng = np.random.default_rng(30 + seed)
-            game, s_eq, s_opt = generators.forced_congestion_game(rng)
+            game, s_eq, s_opt = generators.forced_congestion_game(rng, int(rng.choice([1, 2])))
             tsg = transform.transform_to_singletons(game, s_eq, s_opt)
             rg = build_resource_graph(tsg)
             if not rg.v1:

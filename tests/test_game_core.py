@@ -299,6 +299,20 @@ class TestGameFormat:
             assert built == expected
             assert all(type(r) is int for strat_set in built for s in strat_set for r in s)
 
+    @pytest.mark.parametrize("field, problem", [
+        pytest.param({"num_resources": 0}, "num_resources must be >= 1", id="no_resources"),
+        pytest.param({"degree": 0}, "degree must be >= 1", id="degree_zero"),
+        pytest.param({"strategies": ()}, "at least one player", id="no_players"),
+        pytest.param({"strategies": (((0,),), ())}, "player 1: empty strategy set",
+                     id="empty_strategy_set"),
+    ])
+    def test_game_checks_its_fields(self, field, problem):
+        # Built directly, past Game.build and the file checks.
+        fields = {"num_resources": 2, "degree": 1, "strategies": (((0,), (1,)),)}
+        Game(**fields)
+        with pytest.raises(GameFormatError, match=problem):
+            Game(**{**fields, **field})
+
     def test_round_trip(self, tmp_path):
         game = Game.build(4, 2, [[[0, 1], [2]], [[3], [1, 2]]])
         path = str(tmp_path / "game.json")

@@ -13,7 +13,6 @@ from polybottleneck import equilibria, generators, lower_bound, transform
 from polybottleneck.errors import DominationError, PreconditionError, StructuralError
 from polybottleneck.game_core import Game, bottleneck, congestion_of
 from polybottleneck.transform import (
-    PartitionPair,
     TwoStrategyGame,
     clean_game,
     eliminate_high_congestion,
@@ -233,24 +232,20 @@ def test_transform_from_random_nash_state(seed, data):
 
 class TestGreedyCoverPairs:
     def test_single_played_resource_takes_two_covers(self):
-        pairs = greedy_cover_pairs([(10, 3)], [(20, 1), (21, 1)], 1)
-        assert len(pairs) == 1
-        assert pairs[0].eq_part == (10,)
-        assert pairs[0].opt_part == (20, 21)
+        pairs = greedy_cover_pairs([10], [20, 21], {10: 3, 20: 1, 21: 1}, 1)
+        assert pairs == [((10,), (20, 21))]
 
     def test_one_big_cover_absorbs_the_strategy(self):
-        pairs = greedy_cover_pairs([(10, 2), (11, 2)], [(20, 5)], 1)
-        assert len(pairs) == 1
-        assert pairs[0].eq_part == (10, 11)
-        assert pairs[0].opt_part == (20,)
+        pairs = greedy_cover_pairs([10, 11], [20], {10: 2, 11: 2, 20: 5}, 1)
+        assert pairs == [((10, 11), (20,))]
 
     def test_cover_dominates_absorbed_congestions(self):
-        pairs = greedy_cover_pairs([(10, 2), (11, 2)], [(20, 5)], 1)
+        pairs = greedy_cover_pairs([10, 11], [20], {10: 2, 11: 2, 20: 5}, 1)
         assert 5 >= max(2, 2)
 
     def test_equilibrium_violation_rejected(self):
         with pytest.raises(PreconditionError):
-            greedy_cover_pairs([(10, 3), (11, 3)], [(20, 1)], 1)
+            greedy_cover_pairs([10, 11], [20], {10: 3, 11: 3, 20: 1}, 1)
 
     def test_partition_requires_clean_player(self):
         tsg = TwoStrategyGame(num_resources=2, degree=1, threshold=9,
@@ -299,8 +294,8 @@ class TestSplitPlayer:
         pid = tsg.add_player([0, 1], [2, 3])
         tsg.check_equilibrium()
         # A faulty partition: sub-player 6 would pay 3 on resource 0 and 1 on 2.
-        monkeypatch.setattr(transform, "greedy_cover_pairs", lambda *args: [
-            PartitionPair((0,), (2,)), PartitionPair((1,), (3,))])
+        monkeypatch.setattr(transform, "greedy_cover_pairs",
+                            lambda *args: [((0,), (2,)), ((1,), (3,))])
         with pytest.raises(StructuralError, match="player 6 "):
             split_player(tsg, pid)
 
@@ -520,6 +515,49 @@ class TestReplace:
         assert (tsg.players, tsg._singles, tsg._multis, tsg._eq_cong, tsg._next_id) == before
 
 
+class TestRangeCheck:
+    """Every strategy that enters the workspace is range-checked before
+    anything changes: an id of ``num_resources`` would index past the
+    congestion, and -1 would be priced as the last resource."""
+
+    def _workspace(self):
+        # Congestion 1, 2, 0, 1.  Player p plays {0, 1} and is tracked to
+        # {2}; q plays {1}; r plays {3}, so -1 would read congestion 1.
+        tsg = TwoStrategyGame(num_resources=4, degree=1, threshold=1,
+                              eq_bottleneck=2, opt_bottleneck=1)
+        p = tsg.add_player([0, 1], [2])
+        tsg.add_player([1], [3])
+        tsg.add_player([3], [3])
+        return tsg, p
+
+    @staticmethod
+    def _state(tsg):
+        return copy.deepcopy((tsg.players, tsg._singles, tsg._multis, tsg._eq_cong,
+                              tsg._next_id))
+
+    @pytest.mark.parametrize("eq, opt", [
+        pytest.param([-1], [0], id="played_minus_one"),
+        pytest.param([4], [0], id="played_past_the_end"),
+        pytest.param([0, 4], [1], id="played_pair_past_the_end"),
+        pytest.param([0], [4], id="tracked_past_the_end"),
+    ])
+    def test_add_player_refuses_ids_outside_the_game(self, eq, opt):
+        tsg, _ = self._workspace()
+        before = self._state(tsg)
+        with pytest.raises(StructuralError, match=r"leaves the resources \[0, 4\)"):
+            tsg.add_player(eq, opt)
+        assert self._state(tsg) == before
+
+    @pytest.mark.parametrize("bad", [4, -1])
+    def test_replace_refuses_tracked_parts_outside_the_game(self, bad):
+        tsg, p = self._workspace()
+        before = self._state(tsg)
+        with pytest.raises(StructuralError,
+                           match=rf"strategy \[{bad}\] of player {p} leaves the resources"):
+            tsg.replace(p, [([0], [2]), ([1], [bad])])
+        assert self._state(tsg) == before
+
+
 def test_no_player_is_rechecked_unchanged(monkeypatch):
     # Outside the final full check, a player is checked once per pair of
     # strategies it holds: the congestion never moves, so a second check of
@@ -720,7 +758,7 @@ class TestVerifyDomination:
     def test_growth_within_factor_seven(self):
         for seed in range(15):
             rng = np.random.default_rng(100 + seed)
-            game, s_eq, s_opt = generators.forced_congestion_game(rng)
+            game, s_eq, s_opt = generators.forced_congestion_game(rng, int(rng.choice([1, 2])))
             tsg = transform_to_singletons(game, s_eq, s_opt)
             dom = verify_domination(game, s_eq, tsg)
             assert dom.all_ok
