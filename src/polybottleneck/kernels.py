@@ -80,17 +80,16 @@ def default_backend() -> str:
 class GameArrays:
     """Sparse array encoding of a game for the scan kernels.  Only shared
     resources are encoded, with compact ids ``0 .. num_used-1``;
-    ``num_used`` is the ghost id that pads strategy rows of ``table`` to
-    equal length.  Arrays indexed by pseudo-player have one entry per type;
-    for a game of distinct players these are the players."""
+    ``num_used`` is the ghost id that pads a type's strategies to equal
+    length.  Arrays indexed by pseudo-player have one entry per type; for a
+    game of distinct players these are the players."""
 
     num_used: int           # shared resources
     counts: np.ndarray      # (T,) choices (compositions) per type
     weights: np.ndarray     # (T,) mixed-radix decode weights of an orbit index
-    player_ptr: np.ndarray  # (T+1,) type -> first strategy row
-    table: np.ndarray       # (total_strats, max_len) shared compact ids, ghost-padded
-    # Per type: its rows of ``table`` cut to its longest shared part and
-    # stored slot-major (L, k), and the int64 private resource count of each
+    # Per type, the one stored encoding of its strategies: their shared
+    # compact ids, ghost-padded to its longest shared part and stored
+    # slot-major (w, k); and the int64 private resource count of each
     # strategy (k, 1), or None when all its strategies have the same count: a
     # constant added to every deviation cost cannot change the verdict.
     deviations: list[tuple[np.ndarray, np.ndarray | None]]
@@ -158,6 +157,15 @@ def _composition_cong(orbit: tuple[np.ndarray, np.ndarray], strategy_cong: np.nd
     return cong
 
 
+def _strategy_cong(alt: np.ndarray, z: int) -> np.ndarray:
+    """Congestion rows (k, z+1) of a type's strategies, counted from its
+    slot-major table ``alt`` (w, k), with the ghost column at 0."""
+    size = alt.shape[1] * (z + 1)
+    cong = np.bincount((alt + np.arange(0, size, z + 1)).ravel(), minlength=size).reshape(-1, z + 1)
+    cong[:, z] = 0
+    return cong
+
+
 def encode_game(game: Game, cap: int | None = None) -> GameArrays:
     """Encode ``game`` for ``scan_range``.  With ``cap``, raise
     ``StateSpaceTooLargeError`` before any per-orbit table is built when the
@@ -177,7 +185,7 @@ def encode_game(game: Game, cap: int | None = None) -> GameArrays:
     rows = [[compact[r] for r in strategy if r in compact] for strategy in flat]
     private = [len(strategy) - len(row) for strategy, row in zip(flat, rows)]
 
-    # Types in order of their first member; the table keeps their rows once.
+    # Types in order of their first member; each keeps its strategies once.
     starts = list(itertools.accumulate(map(len, game.strategies), initial=0))
     kinds: dict[tuple, list[int]] = {}
     for i, (p0, p1) in enumerate(zip(starts, starts[1:])):
@@ -200,9 +208,7 @@ def encode_game(game: Game, cap: int | None = None) -> GameArrays:
     for t in range(len(members) - 1, -1, -1):
         weights[t] = block
         block *= counts[t]
-    player_ptr = list(itertools.accumulate(strats, initial=0))
-    lengths = [len(row) for row in rows]
-    max_len = max(lengths)
+    max_len = max(map(len, rows))
     table = np.array(
         [row + [z] * (max_len - len(row)) for row in rows], dtype=np.int64
     ).reshape(len(rows), max_len)  # the reshape keeps a zero-width table 2-d
@@ -217,8 +223,8 @@ def encode_game(game: Game, cap: int | None = None) -> GameArrays:
     fits = not int64_safe and (max(max_len, 1) * pow_exact[-1] + max(private)).bit_length() < 1023
     deviations = []
     gather = 0  # widest (width, k) deviation gather of a type
-    for p0, k in zip(player_ptr, strats):
-        width = max(lengths[p0:p0 + k])
+    for p0, k in zip(itertools.accumulate(strats, initial=0), strats):
+        width = max(map(len, rows[p0:p0 + k]))
         gather = max(gather, k * width)
         priv = private[p0:p0 + k]
         deviations.append((table[p0:p0 + k, :width].T.copy(), None if min(priv) == max(priv)
@@ -237,16 +243,13 @@ def encode_game(game: Game, cap: int | None = None) -> GameArrays:
         block *= counts[p]
     # Each prefix a chunk touches decodes p * max_len slots: ceil(/ B) per orbit.
     chunk = max(1, min(chunk, _CHUNK_CELLS // (cells + -(-p * max_len // block))))
-    # Congestion of each strategy alone, of each choice (a composition
-    # weights its strategies' rows), then of every suffix choice as the outer
-    # sum over the suffix types, last type fastest.  The ghost column holds
-    # -1, so it is never the bottleneck.
-    row0 = player_ptr[p]
-    keys = table[row0:] + (z + 1) * np.arange(len(rows) - row0)[:, None]
-    single = np.bincount(keys.ravel(), minlength=(len(rows) - row0) * (z + 1)).reshape(-1, z + 1)
+    # Congestion of each choice of a suffix type (its strategy rows, or a
+    # composition weighting them), one type at a time, then of every suffix
+    # choice as the outer sum over the suffix types, last type fastest.  The
+    # ghost column holds -1, so it is never the bottleneck.
     suffix_cong = np.zeros((1, z + 1), np.int64)
     for t in range(len(members) - 1, p - 1, -1):
-        choice_cong = single[player_ptr[t] - row0:player_ptr[t + 1] - row0]
+        choice_cong = _strategy_cong(deviations[t][0], z)
         if orbits[t] is not None:
             choice_cong = _composition_cong(orbits[t], choice_cong, slice(None))
         suffix_cong = (choice_cong[:, None] + suffix_cong).reshape(-1, z + 1)
@@ -256,8 +259,6 @@ def encode_game(game: Game, cap: int | None = None) -> GameArrays:
         num_used=z,
         counts=np.array(counts, dtype=np.int64),
         weights=np.array(weights, dtype=np.int64),
-        player_ptr=np.array(player_ptr, dtype=np.int64),
-        table=table,
         deviations=deviations,
         num_orbits=num_orbits,
         prefix_players=p,
@@ -358,15 +359,16 @@ def scan_range(enc: GameArrays, start: int, stop: int) -> tuple[np.ndarray, np.n
     cheaper alternative (equal-cost deviations do not break equilibrium).
 
     Congestion is additive over players, so an orbit's congestion row is
-    that of its prefix plus that of its suffix: one bincount counts the
-    lone players of the prefixes that touch the range, each composition
-    times its type's strategy rows adds the other players, and one broadcast
-    add against ``suffix_cong`` gives every row (a game without prefix types
-    copies a slice of ``suffix_cong``).  Each type is taken off its rows of the
-    stable orbits, one member off one held strategy at a time; one
-    slot-major gather of its congestion goes to ``_stable`` for pricing, and
-    its rows are restored.  Every strategy is non-empty, so the
-    bottleneck is at least 1 even where only private resources are used."""
+    that of its prefix plus that of its suffix: one bincount over the table
+    columns of their choices counts the lone players of the prefixes that
+    touch the range, each composition times its type's strategy rows adds
+    the other players, and one broadcast add against ``suffix_cong`` gives
+    every row (a game without prefix types copies a slice of
+    ``suffix_cong``).  Each type is taken off its rows of the stable orbits,
+    one member off one held strategy at a time; one slot-major gather of its
+    congestion goes to ``_stable`` for pricing, and its rows are restored.
+    Every strategy is non-empty, so the bottleneck is at least 1 even where
+    only private resources are used."""
     if not 0 <= start < stop <= enc.num_orbits:
         raise PreconditionError(
             f"scan range [{start}, {stop}) is not a non-empty part of [0, {enc.num_orbits})"
@@ -379,20 +381,18 @@ def scan_range(enc: GameArrays, start: int, stop: int) -> tuple[np.ndarray, np.n
         first = start // block
         prefix = np.arange(first, (stop - 1) // block + 1, dtype=np.int64)
         prefix_choices = prefix[:, None] // (enc.weights[:p] // block) % enc.counts[:p]
-        rows = prefix_choices + enc.player_ptr[:p]
-        multi = [t for t in range(p) if enc.orbits[t] is not None]
-        if multi:
-            rows = rows[:, [t for t in range(p) if enc.orbits[t] is None]]
-        slots = enc.table[rows].reshape(len(prefix), -1)
-        slots += (np.arange(len(prefix), dtype=np.int64) * (z + 1))[:, None]
+        # Lone players: the table columns of their choices, (w, prefixes) each.
+        slots = np.concatenate([np.empty((0, len(prefix)), np.int64)] + [
+            enc.deviations[t][0][:, prefix_choices[:, t]]
+            for t in range(p) if enc.orbits[t] is None])
+        slots += (z + 1) * np.arange(len(prefix), dtype=np.int64)
         prefix_cong = np.bincount(slots.ravel(), minlength=len(prefix) * (z + 1))
         prefix_cong = prefix_cong.reshape(len(prefix), z + 1)
-        for t in multi:
-            alt = enc.deviations[t][0].T
-            keys = alt + (z + 1) * np.arange(len(alt))[:, None]
-            strategy_cong = np.bincount(keys.ravel(), minlength=len(alt) * (z + 1))
-            prefix_cong += _composition_cong(enc.orbits[t], strategy_cong.reshape(-1, z + 1),
-                                             prefix_choices[:, t])
+        for t in range(p):
+            if enc.orbits[t] is not None:
+                prefix_cong += _composition_cong(enc.orbits[t],
+                                                 _strategy_cong(enc.deviations[t][0], z),
+                                                 prefix_choices[:, t])
         prefix_cong[:, z] = 0  # the suffix's ghost -1 stands
         cong = (prefix_cong[:, None, :] + enc.suffix_cong[None]).reshape(-1, z + 1)
         cong = cong[start - first * block:stop - first * block]

@@ -60,8 +60,8 @@ class TwoStrategyGame:
     its equilibrium one (one more user on each newly adopted resource).  Once
     ``add_player`` has built the roster the equilibrium congestion never
     changes, so a player's stability depends only on its own two strategies
-    and is checked where they change: ``replace`` checks every player it
-    creates, ``retrack`` the player it changes.
+    and is checked where they change, before anything changes: ``replace``
+    checks every player it would create, ``retrack`` the pair it would set.
     """
 
     def __init__(
@@ -107,8 +107,8 @@ class TwoStrategyGame:
         """Swap a player for one new player per (played, tracked) part; the
         only way a player leaves.  Before anything changes, the played parts
         must partition the player's strategy, so the equilibrium congestion
-        stays, and every tracked part is range-checked.  Each new player is
-        then checked, lowest id first.  Returns the new ids."""
+        stays, every tracked part is range-checked, and each new player is
+        checked, lowest id first.  Returns the new ids."""
         old = self.players[pid]
         parts = [(tuple(sorted(eq)), tuple(sorted(opt))) for eq, opt in parts]
         if not all(eq for eq, _ in parts) or (
@@ -117,12 +117,11 @@ class TwoStrategyGame:
                 f"parts {[list(eq) for eq, _ in parts]} do not partition the strategy "
                 f"{list(old.eq_strategy)} of player {pid}", state=self.to_dict())
         self._check_ids(pid, (opt for _, opt in parts))
+        for nid, (eq, opt) in enumerate(parts, start=self._next_id):
+            self._check(nid, eq, opt)
         del self.players[pid]
         (self._singles[old.eq_strategy[0]] if old.is_singleton else self._multis).discard(pid)
-        new_ids = [self._enter(eq, opt) for eq, opt in parts]
-        for nid in new_ids:
-            self._check(nid)
-        return new_ids
+        return [self._enter(eq, opt) for eq, opt in parts]
 
     def _enter(self, eq: tuple[int, ...], opt: tuple[int, ...]) -> int:
         """Index a new player whose played resources are already counted."""
@@ -137,11 +136,11 @@ class TwoStrategyGame:
 
     def retrack(self, pid: int, strategy: Iterable[int]) -> None:
         """Give a player a new tracked strategy, the only way to change one,
-        and check the player.  The strategy is range-checked first."""
+        once it is range-checked and the player is checked on it."""
         opt = tuple(sorted(strategy))
         self._check_ids(pid, (opt,))
+        self._check(pid, self.players[pid].eq_strategy, opt)
         self.players[pid].opt_strategy = opt
-        self._check(pid)
 
     def _check_ids(self, pid: int, strategies: Iterable[tuple[int, ...]]) -> None:
         """Refuse sorted strategies with an id outside ``[0, num_resources)``
@@ -194,20 +193,22 @@ class TwoStrategyGame:
             return None
         return switch_cost(self._eq_cong, player.eq_strategy, target, self.degree)
 
-    def in_equilibrium(self, pid: int) -> bool:
-        dev = self.deviation(pid)
-        return dev is None or self.cost(pid) <= dev
+    def in_equilibrium(self, eq: tuple[int, ...], opt: tuple[int, ...]) -> bool:
+        """Whether a player playing ``eq`` and tracked to ``opt`` (none when
+        empty) has no strictly cheaper switch, on the current congestion."""
+        return not opt or (switch_cost(self._eq_cong, eq, eq, self.degree)
+                           <= switch_cost(self._eq_cong, eq, opt, self.degree))
 
     def check_equilibrium(self) -> None:
         """Check every player, lowest id first: the full check of a roster
         that ``add_player`` built, or that ``replace`` and ``retrack``, which
         check each change as it happens, have kept."""
-        for pid in sorted(self.players):
-            self._check(pid)
+        for pid, p in sorted(self.players.items()):
+            self._check(pid, p.eq_strategy, p.opt_strategy)
 
-    def _check(self, pid: int) -> None:
-        """Raise unless the player is in equilibrium."""
-        if not self.in_equilibrium(pid):
+    def _check(self, pid: int, eq: tuple[int, ...], opt: tuple[int, ...]) -> None:
+        """Raise unless player ``pid`` would be in equilibrium on the pair."""
+        if not self.in_equilibrium(eq, opt):
             raise StructuralError(f"player {pid} is no longer in equilibrium",
                                   state=self.to_dict())
 
@@ -379,13 +380,11 @@ def greedy_cover_pairs(
         start = boundary if uses[boundary] < 2 else boundary + 1
         if len(cover) == 1 and boundary == m - 1:
             # Last tracked resource: absorb further played resources while the
-            # single cover still dominates them.
+            # single cover still dominates them.  A played resource above the
+            # cover's congestion c needs at least (c+1)**M, the whole capacity.
             capacity = values[boundary]
-            cover_c = congestion[opt[boundary]]
             group_mass = need
-            while i < len(eq):
-                if congestion[eq[i]] > cover_c or group_mass + needs[i] > capacity:
-                    break
+            while i < len(eq) and group_mass + needs[i] <= capacity:
                 group.append(eq[i])
                 group_mass += needs[i]
                 i += 1

@@ -170,6 +170,11 @@ EDGE_GAMES = {
     ]),
     # the tight family: every resource but resource 0 is a private detour hop
     **{f"tight_n{n}_d{d}": lower_bound.generate(n, d).game for d in (1, 2) for n in range(2, 7)},
+    # twelve one-strategy players on a chain [i, i+1] beside two
+    # two-strategy players: lone types of one choice in the prefix and suffix
+    "one_strategy_chain": Game.build(
+        13, 2, [[[i, i + 1]] for i in range(12)] + [[[0], [12]], [[1], [11]]]
+    ),
     # Suffix blocks (see BLOCK_SHAPES).  Counts 3, 1, 2, 4, 2 over wide shared
     # strategies: the chunk is small, so the suffix is the last two players
     # and the prefix decodes in mixed radix 3, 1, 2.
@@ -292,7 +297,7 @@ class TestEncoding:
         # tight n=20, degree 2: 7,999 of the 8,000 resources are private
         enc = kernels.encode_game(lower_bound.generate(20, 2).game)
         assert enc.num_used == 1
-        assert enc.table.shape[1] == 1
+        assert max(alt.shape[0] for alt, _ in enc.deviations) == 1
         assert enc.chunk == kernels.CHUNK
         assert array_bytes(list(vars(enc).values())) < 64 * 1024
 
@@ -351,6 +356,21 @@ class TestEncoding:
             assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(old, new)), key
             if not old:
                 assert value == getattr(enc, key), key
+
+    def test_encode_peak_grows_with_the_input(self):
+        # 2,000 one-strategy players on a chain share 2,001 resources: a
+        # count over every strategy row times every shared resource would
+        # peak at about 32 MB.
+        n = 2000
+        game = Game.build(n + 1, 1, [[[i, i + 1]] for i in range(n)] + [[[0], [n]], [[1], [n - 1]]])
+        tracemalloc.start()
+        try:
+            enc = kernels.encode_game(game)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert enc.num_used == n + 1 and enc.num_orbits == 4
+        assert peak <= 4 * kernels._CHUNK_CELLS * 8
 
     def test_float_table_only_on_the_object_path_below_overflow(self):
         assert kernels.encode_game(EDGE_GAMES["unequal_lengths"]).pow_float is None
@@ -439,6 +459,20 @@ class TestBackendAgreement:
             assert np.array_equal(loop_m[reps], mask)
         if len(enc.members) == game.num_players:
             assert enc.num_orbits == total  # so every profile was compared
+
+    @pytest.mark.parametrize("chunk", [3, 7, 8192])
+    @pytest.mark.parametrize("name", sorted(EDGE_GAMES))
+    def test_scan_matches_oracle_at_every_chunk_size(self, name, chunk):
+        # At CHUNK 3 the suffix holds only types of one choice, so every
+        # other type is decoded in the prefix, lone or composed.
+        game = EDGE_GAMES[name]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "CHUNK", chunk)
+            enc = kernels.encode_game(game)
+        if chunk == 3:
+            assert all(c == 1 for c in enc.counts[enc.prefix_players:])
+        C, worst, c_star, optimal, count = kernels.scan(enc)
+        assert (C, c_star, count, worst, optimal) == oracle_poa(game)
 
     @pytest.mark.parametrize("name", sorted(EDGE_GAMES))
     def test_edge_totals_match_full_enumeration(self, name):

@@ -240,8 +240,14 @@ class TestGreedyCoverPairs:
         assert pairs == [((10, 11), (20,))]
 
     def test_cover_dominates_absorbed_congestions(self):
-        pairs = greedy_cover_pairs([10, 11], [20], {10: 2, 11: 2, 20: 5}, 1)
-        assert 5 >= max(2, 2)
+        # Resource 20 covers 10 and then 11; the last cover, 21 at congestion
+        # 5 (capacity 6), absorbs 12, 13 and 14 (mass 6) and stops at 15 on
+        # mass alone, so 15 takes 21 a second time.
+        congestion = {10: 2, 11: 2, 12: 2, 13: 2, 14: 2, 15: 1, 20: 4, 21: 5}
+        pairs = greedy_cover_pairs(range(10, 16), [20, 21], congestion, 1)
+        assert pairs == [((10,), (20,)), ((11,), (20,)), ((12, 13, 14), (21,)), ((15,), (21,))]
+        for played, tracked in pairs:
+            assert all(congestion[r] <= congestion[tracked[0]] for r in played)
 
     def test_equilibrium_violation_rejected(self):
         with pytest.raises(PreconditionError):
@@ -416,26 +422,28 @@ class TestIncrementalCheck:
         self.rechecked = []
         in_equilibrium = tsg.in_equilibrium
 
-        def counted(pid):
-            self.rechecked.append(pid)
-            return in_equilibrium(pid)
+        def counted(eq, opt):
+            self.rechecked.append((eq, opt))
+            return in_equilibrium(eq, opt)
 
         tsg.in_equilibrium = counted
         return tsg, a, b, c, d
 
     def test_only_retracked_players_are_rechecked(self):
+        # Each check is counted as the (played, tracked) pair it prices.
         tsg, a, b, _, _ = self._settled()
         tsg.retrack(b, [1, 2])
-        assert self.rechecked == [b]
+        assert self.rechecked == [((0,), (1, 2))]
         tsg.check_equilibrium()
-        assert self.rechecked == [b] + sorted(tsg.players)
+        assert self.rechecked == [((0,), (1, 2))] + [
+            (p.eq_strategy, p.opt_strategy) for _, p in sorted(tsg.players.items())]
 
     def test_retracked_player_is_caught(self):
         # The retrack itself raises, before anything else can run.
         tsg, a, _, _, _ = self._settled()
         with pytest.raises(StructuralError, match=f"player {a} "):
             tsg.retrack(a, [2])  # pays 3, would pay 1
-        assert self.rechecked == [a]
+        assert self.rechecked == [((0,), (2,))]
 
     def test_lowest_failing_player_is_reported(self):
         # Tracked strategies set directly, past retrack's own check: the full
@@ -455,13 +463,14 @@ class TestIncrementalCheck:
         assert self.rechecked == []
         with pytest.raises(StructuralError, match=f"player {c} "):
             tsg.check_equilibrium()
-        assert self.rechecked == [a, b, c]
+        assert self.rechecked == [((0,), (0,)), ((0,), (0,)), ((0,), (1, 2))]
 
     def test_net_zero_moves_keep_the_check_incremental(self):
         tsg, _, _, _, d = self._settled()
         twin = tsg.players[d]
         (new,) = tsg.replace(d, [(twin.eq_strategy, twin.opt_strategy)])
-        assert self.rechecked == [new]
+        assert self.rechecked == [((1,), (1,))]
+        assert tsg.players[new] == twin
 
     @pytest.mark.parametrize("bad", [3, -1])
     def test_retrack_refuses_ids_outside_the_game(self, bad):
@@ -472,6 +481,11 @@ class TestIncrementalCheck:
             tsg.retrack(a, [1, bad])
         assert tsg.players[a].opt_strategy == (0,)
         assert self.rechecked == []
+
+
+def workspace_state(tsg):
+    """A deep copy of everything replace, retrack and add_player may change."""
+    return copy.deepcopy((tsg.players, tsg._singles, tsg._multis, tsg._eq_cong, tsg._next_id))
 
 
 class TestReplace:
@@ -496,9 +510,22 @@ class TestReplace:
 
     def test_unstable_part_is_caught_at_once(self):
         # The new player on resource 1 pays 2 and would pay 1 on resource 2.
+        # It is refused before p leaves or any new player enters.
         tsg, p = self._workspace()
+        before = workspace_state(tsg)
         with pytest.raises(StructuralError, match="player 3 is no longer"):
             tsg.replace(p, [([0], [2]), ([1], [2])])
+        assert workspace_state(tsg) == before
+
+    def test_unstable_retrack_is_refused_unchanged(self):
+        # q pays 2 on resource 1 and would pay 1 on resource 2.
+        tsg, p = self._workspace()
+        (q,) = set(tsg.players) - {p}
+        before = workspace_state(tsg)
+        with pytest.raises(StructuralError, match=f"player {q} is no longer"):
+            tsg.retrack(q, [2])
+        assert workspace_state(tsg) == before
+        assert tsg.players[q].opt_strategy == (3,)
 
     @pytest.mark.parametrize("parts", [
         pytest.param([([0], [2])], id="drops_an_id"),
@@ -508,11 +535,10 @@ class TestReplace:
     ])
     def test_parts_that_do_not_partition_are_refused_unchanged(self, parts):
         tsg, p = self._workspace()
-        before = copy.deepcopy((tsg.players, tsg._singles, tsg._multis, tsg._eq_cong,
-                                tsg._next_id))
+        before = workspace_state(tsg)
         with pytest.raises(StructuralError, match=f"partition the strategy .* of player {p}"):
             tsg.replace(p, parts)
-        assert (tsg.players, tsg._singles, tsg._multis, tsg._eq_cong, tsg._next_id) == before
+        assert workspace_state(tsg) == before
 
 
 class TestRangeCheck:
@@ -530,11 +556,6 @@ class TestRangeCheck:
         tsg.add_player([3], [3])
         return tsg, p
 
-    @staticmethod
-    def _state(tsg):
-        return copy.deepcopy((tsg.players, tsg._singles, tsg._multis, tsg._eq_cong,
-                              tsg._next_id))
-
     @pytest.mark.parametrize("eq, opt", [
         pytest.param([-1], [0], id="played_minus_one"),
         pytest.param([4], [0], id="played_past_the_end"),
@@ -543,37 +564,36 @@ class TestRangeCheck:
     ])
     def test_add_player_refuses_ids_outside_the_game(self, eq, opt):
         tsg, _ = self._workspace()
-        before = self._state(tsg)
+        before = workspace_state(tsg)
         with pytest.raises(StructuralError, match=r"leaves the resources \[0, 4\)"):
             tsg.add_player(eq, opt)
-        assert self._state(tsg) == before
+        assert workspace_state(tsg) == before
 
     @pytest.mark.parametrize("bad", [4, -1])
     def test_replace_refuses_tracked_parts_outside_the_game(self, bad):
         tsg, p = self._workspace()
-        before = self._state(tsg)
+        before = workspace_state(tsg)
         with pytest.raises(StructuralError,
                            match=rf"strategy \[{bad}\] of player {p} leaves the resources"):
             tsg.replace(p, [([0], [2]), ([1], [bad])])
-        assert self._state(tsg) == before
+        assert workspace_state(tsg) == before
 
 
 def test_no_player_is_rechecked_unchanged(monkeypatch):
     # Outside the final full check, a player is checked once per pair of
-    # strategies it holds: the congestion never moves, so a second check of
-    # the same pair could only repeat the first.
-    in_equilibrium = TwoStrategyGame.in_equilibrium
+    # strategies it would hold: the congestion never moves, so a second check
+    # of the same pair could only repeat the first.
+    player_check = TwoStrategyGame._check
     check = TwoStrategyGame.check_equilibrium
     seen, repeats, in_full = set(), [], [False]
 
-    def counted(tsg, pid):
+    def counted(tsg, pid, eq, opt):
         if not in_full[0]:
-            p = tsg.players[pid]
-            key = (id(tsg), pid, p.eq_strategy, p.opt_strategy)
+            key = (id(tsg), pid, eq, opt)
             if key in seen:
                 repeats.append(key[1:])
             seen.add(key)
-        return in_equilibrium(tsg, pid)
+        return player_check(tsg, pid, eq, opt)
 
     def flagged(tsg):
         in_full[0] = True
@@ -582,7 +602,7 @@ def test_no_player_is_rechecked_unchanged(monkeypatch):
         finally:
             in_full[0] = False
 
-    monkeypatch.setattr(TwoStrategyGame, "in_equilibrium", counted)
+    monkeypatch.setattr(TwoStrategyGame, "_check", counted)
     monkeypatch.setattr(TwoStrategyGame, "check_equilibrium", flagged)
     kept = []  # keeps every workspace alive, so no id() is reused
     for seed in range(150):
