@@ -106,6 +106,9 @@ def validate_profile(game: Game, profile: Sequence[int]) -> Profile:
             f"profile has {len(profile)} entries for {game.num_players} players"
         )
     for i, choice in enumerate(profile):
+        if type(choice) is not int and (
+                not isinstance(choice, (int, np.integer)) or isinstance(choice, bool)):
+            raise InvalidProfileError(f"player {i}: choice {choice!r} is not an integer")
         if not 0 <= choice < len(game.strategies[i]):
             raise InvalidProfileError(
                 f"player {i}: choice {choice} out of range "

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from . import equilibria
@@ -37,16 +39,6 @@ def random_game(
     return Game.build(num_resources=z, degree=degree, players=players)
 
 
-class _ResourcePool:
-    def __init__(self) -> None:
-        self.next = 0
-
-    def take(self, count: int = 1) -> list[int]:
-        out = list(range(self.next, self.next + count))
-        self.next += count
-        return out
-
-
 def forced_congestion_game(
     rng: np.random.Generator,
     degree: int,
@@ -64,8 +56,12 @@ def forced_congestion_game(
     m = int(degree)
     thr = max(2 * m, 3)  # optimal bottleneck is 1 by construction
     hub_users = int(rng.integers(thr + 1, thr + 4))
-    pool = _ResourcePool()
-    (hub,) = pool.take()
+    ids = itertools.count()  # fresh resource ids, in order of use
+
+    def take(count: int = 1) -> list[int]:
+        return list(itertools.islice(ids, count))
+
+    (hub,) = take()
 
     # eq_strategies[i] built first; detours sized afterwards from the final
     # congestion counts so every player is exactly indifferent.
@@ -83,31 +79,31 @@ def forced_congestion_game(
             # Heavy player: cost beyond (bottleneck+1)**degree, so it is
             # rewritten before the phase loop even starts.
             extras = (hub_users + 1) ** m - hub_users**m + int(rng.integers(1, 4))
-        eq_strategies.append([hub] + pool.take(extras))
+        eq_strategies.append([hub] + take(extras))
 
     if rng.random() < 0.7 and hub_users - 1 > thr:
         # Second hub at a lower congestion level with its own singleton
         # players, plus one multi player pinned to it.
         level2 = int(rng.integers(thr + 1, hub_users))
-        (second_hub,) = pool.take()
+        (second_hub,) = take()
         for _ in range(level2):
             eq_strategies.append([second_hub])
         pinned_eq: list[int] = []
         if m == 1:
             # mid congestions level2-1 and 2: cost = level2 + 1, in band
-            mid_a, mid_b = pool.take(2)
+            mid_a, mid_b = take(2)
             for _ in range(level2 - 2):
                 eq_strategies.append([mid_a])
             eq_strategies.append([mid_b])
             pinned_eq = [mid_a, mid_b]
         else:
             # one mid at level2-1 plus private units filling the cost band
-            (mid_a,) = pool.take()
+            (mid_a,) = take()
             for _ in range(level2 - 2):
                 eq_strategies.append([mid_a])
             target = level2**m + 1 + int(rng.integers(0, 2 * level2))
             ones = target - (level2 - 1) ** m
-            pinned_eq = [mid_a] + pool.take(ones)
+            pinned_eq = [mid_a] + take(ones)
         pinned = pinned_eq
         eq_strategies.append(pinned)
         pinned_index = len(eq_strategies) - 1
@@ -128,9 +124,9 @@ def forced_congestion_game(
             players.append([sorted(strat), pinned_opt])
             continue
         cost = sum(counts[r] ** m for r in strat)
-        players.append([sorted(strat), pool.take(cost)])
+        players.append([sorted(strat), take(cost)])
 
-    game = Game.build(num_resources=pool.next, degree=m, players=players)
+    game = Game.build(num_resources=next(ids), degree=m, players=players)
     state_eq = tuple([0] * len(players))
     state_opt = tuple([1] * len(players))
 

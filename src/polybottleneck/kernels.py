@@ -276,6 +276,8 @@ def encode_game(game: Game, cap: int | None = None) -> GameArrays:
 def profile_from_index(enc: GameArrays, idx: int) -> Profile:
     """The representative of orbit ``idx``: its lexicographically first
     profile."""
+    if not 0 <= idx < enc.num_orbits:
+        raise PreconditionError(f"orbit index {idx} is not in [0, {enc.num_orbits})")
     profile = [0] * sum(map(len, enc.members))
     for players, orbit, w, c in zip(enc.members, enc.orbits, enc.weights, enc.counts):
         choice = int(idx) // int(w) % int(c)

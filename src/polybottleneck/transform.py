@@ -19,7 +19,6 @@ Terminology used here:
 
 from __future__ import annotations
 
-import math
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -109,7 +108,7 @@ class TwoStrategyGame:
         must partition the player's strategy, so the equilibrium congestion
         stays, every tracked part is range-checked, and each new player is
         checked, lowest id first.  Returns the new ids."""
-        old = self.players[pid]
+        old = self._player(pid)
         parts = [(tuple(sorted(eq)), tuple(sorted(opt))) for eq, opt in parts]
         if not all(eq for eq, _ in parts) or (
                 sorted(chain.from_iterable(eq for eq, _ in parts)) != list(old.eq_strategy)):
@@ -137,10 +136,17 @@ class TwoStrategyGame:
     def retrack(self, pid: int, strategy: Iterable[int]) -> None:
         """Give a player a new tracked strategy, the only way to change one,
         once it is range-checked and the player is checked on it."""
+        player = self._player(pid)
         opt = tuple(sorted(strategy))
         self._check_ids(pid, (opt,))
-        self._check(pid, self.players[pid].eq_strategy, opt)
-        self.players[pid].opt_strategy = opt
+        self._check(pid, player.eq_strategy, opt)
+        player.opt_strategy = opt
+
+    def _player(self, pid: int) -> TwoStrategyPlayer:
+        """The roster entry of ``pid``, refusing an id that is not in it."""
+        if pid not in self.players:
+            raise StructuralError(f"player {pid} is not in the roster", state=self.to_dict())
+        return self.players[pid]
 
     def _check_ids(self, pid: int, strategies: Iterable[tuple[int, ...]]) -> None:
         """Refuse sorted strategies with an id outside ``[0, num_resources)``
@@ -405,8 +411,8 @@ def split_player(tsg: TwoStrategyGame, pid: int) -> list[int]:
 
     The player's two strategies must be disjoint.  Equilibrium congestion is
     untouched (``replace`` checks that the played sides partition the
-    player's strategy, and that every sub-player is in equilibrium); every
-    sub-player costs at most the old player's cost.
+    player's strategy, and that every sub-player is in equilibrium), so each
+    sub-player's cost is a sub-sum of the old player's and needs no check.
     """
     player = tsg.players[pid]
     if player.is_singleton:
@@ -414,7 +420,6 @@ def split_player(tsg: TwoStrategyGame, pid: int) -> list[int]:
     if set(player.eq_strategy) & set(player.opt_strategy):
         raise PreconditionError(f"player {pid} has overlapping strategies; clean the game first")
     pairs = greedy_cover_pairs(player.eq_strategy, player.opt_strategy, tsg._eq_cong, tsg.degree)
-    old_cost = tsg.cost(pid)
     # A multi sub-player may cost at most joining its most congested tracked resource.
     dearest = max(player.opt_strategy, key=lambda r: tsg._eq_cong[r])
     cap = switch_cost(tsg._eq_cong, (), (dearest,), tsg.degree)
@@ -422,11 +427,7 @@ def split_player(tsg: TwoStrategyGame, pid: int) -> list[int]:
     tsg.record("split", player=pid, new_ids=new_ids,
                pairs=[[list(eq), list(opt)] for eq, opt in pairs])
     for nid in new_ids:
-        c = tsg.cost(nid)
-        if c > old_cost:
-            raise StructuralError(f"sub-player {nid} of {pid} costs {c}, more than {old_cost}",
-                                  state=tsg.to_dict())
-        if not tsg.players[nid].is_singleton and c > cap:
+        if not tsg.players[nid].is_singleton and (c := tsg.cost(nid)) > cap:
             raise StructuralError(f"multi sub-player {nid} of {pid} costs {c}, above {cap}",
                                   state=tsg.to_dict())
     return new_ids
@@ -486,38 +487,40 @@ def eliminate_high_congestion(tsg: TwoStrategyGame, level: int, pid: int) -> Non
                                   state=tsg.to_dict())
 
 
-def _multis_costing(tsg: TwoStrategyGame, low: int, high: float = math.inf) -> list[int]:
-    """Multi players with cost in (low, high], dearest first."""
+def _multis_costing(tsg: TwoStrategyGame, low: int) -> list[int]:
+    """Multi players with cost above low, dearest first."""
     costs = {pid: tsg.cost(pid) for pid in tsg.multi_ids()}
-    return sorted((pid for pid, c in costs.items() if low < c <= high),
+    return sorted((pid for pid, c in costs.items() if c > low),
                   key=lambda pid: (-costs[pid], pid))
+
+
+def _band(tsg: TwoStrategyGame, level: int) -> list[int]:
+    """Multi players with cost in (level**M, (level+1)**M], dearest first.
+
+    The phase invariant, checked once per level state and once on the final
+    one: no multi player costs more.  So none plays a resource above the
+    level, since its other resources, each at congestion 1 or more, would
+    bring it to (level+1)**M + 1 or more.  The dearest player above it is
+    named."""
+    band = _multis_costing(tsg, delay(level, tsg.degree))
+    if band and tsg.cost(band[0]) > delay(level + 1, tsg.degree):
+        raise StructuralError(f"multi player {band[0]} above the band at level {level}",
+                              state=tsg.to_dict())
+    return band
 
 
 def run_phase(tsg: TwoStrategyGame, level: int) -> PhaseState:
     """Erase all multi players with cost above level**degree at this level."""
     phase = PhaseState(level=level)
-    level_cost = delay(level, tsg.degree)
     upper_cost = delay(level + 1, tsg.degree)
 
-    for pid in tsg.multi_ids():
-        p = tsg.players[pid]
-        if tsg.cost(pid) > upper_cost:
-            raise StructuralError(
-                f"multi player {pid} above the band at level {level}", state=tsg.to_dict()
-            )
-        for r in p.eq_strategy:
-            if tsg._eq_cong[r] > level:
-                raise StructuralError(
-                    f"multi player {pid} plays over-congested resource {r}", state=tsg.to_dict()
-                )
-
-    for pid in _multis_costing(tsg, level_cost, upper_cost):
+    for pid in _band(tsg, level):
         split_player(tsg, pid)
         phase.splits += 1
 
     # Survivors of the band now track exactly one resource, congested at
     # least to the level.
-    survivors = _multis_costing(tsg, level_cost, upper_cost)
+    survivors = _band(tsg, level)
     for pid in survivors:
         opt = tsg.players[pid].opt_strategy
         if len(opt) != 1 or tsg._eq_cong[opt[0]] < level:
@@ -554,13 +557,8 @@ def run_phase(tsg: TwoStrategyGame, level: int) -> PhaseState:
         split_player(tsg, pid)
         phase.splits += 1
 
+    # The next level's band check, or the final one, checks what this left.
     _resolve_locked(tsg, phase, locked)
-
-    for pid in tsg.multi_ids():
-        if tsg.cost(pid) > level_cost:
-            raise StructuralError(
-                f"multi player {pid} still above level {level}", state=tsg.to_dict()
-            )
     tsg.record("phase", level=level, splits=phase.splits, markings=phase.markings)
     return phase
 
@@ -666,11 +664,7 @@ def transform_to_singletons(
         run_phase(tsg, level)
 
     tsg.check_equilibrium()
-    for pid in tsg.multi_ids():
-        for r in tsg.players[pid].eq_strategy:
-            if tsg._eq_cong[r] > tsg.threshold:
-                raise StructuralError(f"multi player {pid} left on over-congested resource {r}",
-                                      state=tsg.to_dict())
+    _band(tsg, tsg.threshold)
     return tsg
 
 

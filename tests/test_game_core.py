@@ -21,6 +21,7 @@ from polybottleneck.game_core import (
     power_table,
     save_game,
     switch_cost,
+    validate_profile,
 )
 
 from conftest import (
@@ -84,6 +85,13 @@ class TestCongestion:
             congestion_of(game, (2,))
         with pytest.raises(InvalidProfileError):
             congestion_of(game, (0, 0))
+        # A choice must be an integer: a float or a bool would index as one,
+        # and a string would reach the range comparison.
+        game = Game.build(3, 1, [[[0], [1]], [[0], [2]]])
+        for bad in ([0.7, 1], [True, 0], ["a", 0]):
+            with pytest.raises(InvalidProfileError, match="is not an integer"):
+                validate_profile(game, bad)
+        assert validate_profile(game, np.array([1, 0])) == (1, 0)
 
 
 class TestBottleneck:

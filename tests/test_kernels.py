@@ -231,6 +231,13 @@ class TestEncoding:
         expected = list(itertools.product(range(2), range(3), range(1)))
         assert [kernels.profile_from_index(enc, idx) for idx in range(6)] == expected
 
+    @pytest.mark.parametrize("idx", [-1, 3])
+    def test_index_outside_the_orbits_is_refused(self, idx):
+        enc = kernels.encode_game(Game.build(3, 1, [[[0], [1]], [[0], [2]]]))
+        assert idx in (-1, enc.num_orbits)
+        with pytest.raises(PreconditionError, match=rf"orbit index {idx} is not in \[0, 3\)"):
+            kernels.profile_from_index(enc, idx)
+
     def test_lexicographic_order(self):
         game = Game.build(2, 1, [[[0], [1]], [[1], [0]]])
         enc = kernels.encode_game(game)

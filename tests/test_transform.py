@@ -540,6 +540,17 @@ class TestReplace:
             tsg.replace(p, parts)
         assert workspace_state(tsg) == before
 
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda tsg: tsg.replace(7, [([0], [2])]), id="replace"),
+        pytest.param(lambda tsg: tsg.retrack(7, [2]), id="retrack"),
+    ])
+    def test_unknown_player_is_refused_unchanged(self, call):
+        tsg, _ = self._workspace()
+        before = workspace_state(tsg)
+        with pytest.raises(StructuralError, match="player 7 is not in the roster"):
+            call(tsg)
+        assert workspace_state(tsg) == before
+
 
 class TestRangeCheck:
     """Every strategy that enters the workspace is range-checked before
@@ -720,8 +731,38 @@ class TestRunPhase:
         with pytest.raises(StructuralError, match="above the band at level 4"):
             run_phase(tsg, 4)
 
+    def test_multi_player_on_a_resource_above_the_level_is_rejected(self):
+        # The multi player plays resource 0 at congestion 5 and resource 1 at
+        # congestion 1, so it pays 5 + 1, above the band (4, 5] of level 4:
+        # the band check alone refuses a multi player above the level.
+        tsg = TwoStrategyGame(
+            num_resources=12, degree=1, threshold=3, eq_bottleneck=5, opt_bottleneck=1
+        )
+        for r in range(4):
+            tsg.add_player([0], [2 + r])
+        pid = tsg.add_player([0, 1], range(6, 12))
+        with pytest.raises(StructuralError, match=f"multi player {pid} above the band at level 4"):
+            run_phase(tsg, 4)
+
 
 class TestFullTransform:
+    def test_final_band_check_catches_a_phase_that_left_a_multi_player(self, monkeypatch):
+        # Degree 1, threshold 3: hub 0 at congestion 4, resources 1 and 2 at
+        # congestion 3 and 2.  The multi player on {1, 2} pays 5, in the band
+        # of level 4, above delay(threshold + 1) = 4, yet on no resource above
+        # the threshold.  Every player is indifferent to its private detour.
+        fresh = iter(range(3, 100))
+        players = [[[0], [next(fresh) for _ in range(4)]] for _ in range(4)]
+        players += [[[1], [next(fresh) for _ in range(3)]] for _ in range(2)]
+        players += [[[2], [next(fresh) for _ in range(2)]]]
+        players += [[[1, 2], [next(fresh) for _ in range(5)]]]
+        game = Game.build(next(fresh), 1, players)
+        nash, opt = (0,) * len(players), (1,) * len(players)
+        assert transform_to_singletons(game, nash, opt).threshold == 3
+        monkeypatch.setattr(transform, "run_phase", lambda tsg, level: None)
+        with pytest.raises(StructuralError, match="multi player 7 above the band at level 3"):
+            transform_to_singletons(game, nash, opt)
+
     def test_all_singleton_game_only_cleans(self):
         inst = lower_bound.generate(4, 1)
         tsg = transform_to_singletons(
