@@ -297,8 +297,12 @@ def clean_game(tsg: TwoStrategyGame) -> TwoStrategyGame:
     # Redundancy pruning, low congestion first, for singleton players on
     # resources above the threshold (their tracked sets feed the resource
     # graph analysis).  A tracked resource goes while the rest still cover
-    # the player's cost.  Each removal only lowers the running deviation
-    # total, so a resource refused once stays refused: one pass, then one retrack.
+    # the player's cost, and the first refusal ends the pass.  While the
+    # player's own resource (priced without the +1) is kept, the slack covers
+    # every other kept term, so nothing before it is refused; each resource
+    # after it costs at least what the player pays, so the own one goes too
+    # (unless it is the last kept); then the terms never fall and the slack
+    # never grows.  One pass, then one retrack.
     for pid in sorted(qid for r, ids in tsg._singles.items()
                       if tsg._eq_cong[r] > tsg.threshold for qid in ids):
         player = tsg.players[pid]
@@ -315,6 +319,8 @@ def clean_game(tsg: TwoStrategyGame) -> TwoStrategyGame:
                 total -= term
                 kept.discard(r)
                 tsg.record("prune", player=pid, removed=r)
+            else:
+                break
         if len(kept) < len(player.opt_strategy):
             tsg.retrack(pid, kept)
 
@@ -512,7 +518,6 @@ def _band(tsg: TwoStrategyGame, level: int) -> list[int]:
 def run_phase(tsg: TwoStrategyGame, level: int) -> PhaseState:
     """Erase all multi players with cost above level**degree at this level."""
     phase = PhaseState(level=level)
-    upper_cost = delay(level + 1, tsg.degree)
 
     for pid in _band(tsg, level):
         split_player(tsg, pid)
@@ -539,52 +544,53 @@ def run_phase(tsg: TwoStrategyGame, level: int) -> PhaseState:
     for pid in qualified:
         eliminate_high_congestion(tsg, level, pid)
 
-    spread: list[int] = []  # wide low-congestion tracked sets
-    locked: list[int] = []  # tracked to one level resource
-    for pid in sorted(survivors):
-        opt = tsg.players[pid].opt_strategy
-        if len(opt) == 1 and tsg._eq_cong[opt[0]] == level:
-            locked.append(pid)
-        elif (len(opt) > 1 and max(tsg._eq_cong[r] for r in opt) <= level - 1
-              and switch_cost(tsg._eq_cong, (), opt, tsg.degree) >= upper_cost):
-            spread.append(pid)
-        else:
-            raise StructuralError(
-                f"multi player {pid} fits neither phase bucket", state=tsg.to_dict()
-            )
-
-    for pid in spread:
-        split_player(tsg, pid)
-        phase.splits += 1
-
     # The next level's band check, or the final one, checks what this left.
-    _resolve_locked(tsg, phase, locked)
+    _erase_above(tsg, phase, sorted(survivors))
     tsg.record("phase", level=level, splits=phase.splits, markings=phase.markings)
     return phase
 
 
-def _resolve_locked(tsg: TwoStrategyGame, phase: PhaseState, locked: list[int]) -> None:
-    """Transform multi players tracked to a single level resource.
+def _erase_above(tsg: TwoStrategyGame, phase: PhaseState, pids: list[int]) -> None:
+    """Erase the multi players among ``pids`` that cost more than the level
+    cost, by one rule for each in turn: eliminate it while it is tracked to
+    one resource above the level; then queue it if it is tracked to one
+    resource, else split it.
 
-    Each round picks an unmarked singleton donor from the level resources in
-    cyclic round-robin order, merges its tracked strategy into the player's,
-    splits the player, and re-tracks + marks the donor.  Any sub-player still
-    above the level cost re-enters the queue (its strategy is strictly
-    smaller, so the rounds terminate).
+    Each queued player takes one marking round: the next unmarked singleton
+    donor from the level resources, in cyclic round-robin order, merges its
+    tracked strategy into the player's, the player is split, and the donor is
+    re-tracked to its resource and marked.  The round's sub-players go through
+    the same rule (a queued one's strategy is strictly smaller, so the rounds
+    terminate).
     """
-    if not locked:
-        return
     level = phase.level
     level_cost = delay(level, tsg.degree)
-    singles = {r: len(ids) for r, ids in tsg._singles.items() if ids and tsg._eq_cong[r] == level}
-    # Round-robin donor order, and the position the next search starts at.
-    order = tuple(sorted(singles, key=lambda r: (singles[r], r)))
-    cursor = 0
-    queue = deque(locked)
-    at_level = sum(tsg._eq_cong[r] == level for r in tsg._played())
-    mark_budget = 4 * max(1, tsg.opt_bottleneck) * max(1, at_level) + 64
+    queue: deque[int] = deque()
+    order: tuple[int, ...] | None = None
+    while True:
+        for pid in pids:
+            player = tsg.players[pid]
+            if player.is_singleton or tsg.cost(pid) <= level_cost:
+                continue
+            if len(player.opt_strategy) == 1 and tsg._eq_cong[player.opt_strategy[0]] > level:
+                eliminate_high_congestion(tsg, level, pid)
+            if len(player.opt_strategy) == 1:
+                queue.append(pid)
+            else:
+                split_player(tsg, pid)
+                phase.splits += 1
+        if not queue:
+            return
+        if order is None:
+            # Round-robin donor order over the level resources as the first
+            # round finds them, and the position the next search starts at.
+            singles = {r: len(ids) for r, ids in tsg._singles.items()
+                       if ids and tsg._eq_cong[r] == level}
+            order = tuple(sorted(singles, key=lambda r: (singles[r], r)))
+            cursor = 0
+            at_level = sum(tsg._eq_cong[r] == level for r in tsg._played())
+            mark_budget = 4 * max(1, tsg.opt_bottleneck) * max(1, at_level) + 64
 
-    while queue:
         pid = queue.popleft()
         player = tsg.players[pid]
         if phase.markings >= mark_budget:
@@ -597,25 +603,13 @@ def _resolve_locked(tsg: TwoStrategyGame, phase: PhaseState, locked: list[int]) 
         qid, resource, position = donor_pick
         donor = tsg.players[qid]
         tsg.retrack(pid, set(donor.opt_strategy) | set(player.opt_strategy))
-        new_ids = split_player(tsg, pid)
+        pids = split_player(tsg, pid)
         phase.splits += 1
         tsg.retrack(qid, (resource,))
         donor.marked = True
         phase.markings += 1
         cursor = (position + 1) % len(order)
-        tsg.record("mark", donor=qid, resource=resource, player=pid, new_ids=new_ids)
-        for nid in new_ids:
-            p = tsg.players[nid]
-            if p.is_singleton or tsg.cost(nid) <= level_cost:
-                continue
-            if len(p.opt_strategy) == 1 and tsg._eq_cong[p.opt_strategy[0]] > level:
-                eliminate_high_congestion(tsg, level, nid)
-                p = tsg.players[nid]
-            if len(p.opt_strategy) == 1:
-                queue.append(nid)
-            else:
-                split_player(tsg, nid)
-                phase.splits += 1
+        tsg.record("mark", donor=qid, resource=resource, player=pid, new_ids=pids)
 
 
 def _pick_donor(

@@ -37,6 +37,7 @@ CASES = {
     "transform_forced_mark_d1": ["transform", "@forced_mark_d1.json", "--trace"],
     "transform_clean_leftover": ["transform", "@clean_leftover.json", "--trace"],
     "transform_eliminate_probe": ["transform", "@eliminate_probe.json", "--trace"],
+    "transform_survivor_spread": ["transform", "@survivor_spread.json", "--trace"],
     "expansion_tight6": ["expansion", "@tight6.json"],
     "expansion_tight6_first": ["expansion", "@tight6.json", "--transform-first"],
     "expansion_forced_d1": ["expansion", "@forced_d1.json"],
@@ -127,6 +128,15 @@ def regenerate() -> None:
     players += [[[0], [next(fresh) for _ in range(6)]] for _ in range(6)]
     players += [[[1], [next(fresh) for _ in range(5)]] for _ in range(4)]
     save_game(Game.build(58, 1, players), str(GOLDEN / "eliminate_probe.json"))
+    # Player 0 plays {1, 2} or 0; seven players play 0 or seven private
+    # resources and four play 1 or five.  At level 5 player 0 costs 6 and is
+    # tracked to resource 0 at 7: ``eliminate`` hands it a donor's whole
+    # detour, seven resources below the level, and the phase splits it there.
+    fresh = iter(range(3, 72))
+    players = [[[0], [1, 2]]]
+    players += [[[0], [next(fresh) for _ in range(7)]] for _ in range(7)]
+    players += [[[1], [next(fresh) for _ in range(5)]] for _ in range(4)]
+    save_game(Game.build(72, 1, players), str(GOLDEN / "survivor_spread.json"))
     codes = {}
     for name, argv in sorted(CASES.items()):
         codes[name], out, err = run_case(argv)

@@ -1,6 +1,8 @@
 import ast
 import copy
+import inspect
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -696,6 +698,49 @@ def test_only_check_equilibrium_decides_stability():
     assert not found, found
 
 
+def mark_sub_player_workspace(requeue):
+    """Degree 2, level 5.  The locked player plays resource 0 (congestion 3)
+    and 27 private ids and is tracked to resource 1 (congestion 5).  The
+    first singleton of resource 1, the round's donor, is tracked to a fresh
+    id and the hub, resource 2 at congestion 7.  The round leaves a multi
+    sub-player on 26 private ids, costing 26 > 25, tracked to the hub.  With
+    ``requeue`` the first hub host tracks resource 1 (and 13 fresh ids), so
+    the sub-player is eliminated to resource 1 and queued again; otherwise
+    it tracks 49 fresh ids, all below the level, and the sub-player is split.
+    Returns the workspace and the locked player's id."""
+    tsg = TwoStrategyGame(num_resources=200, degree=2, threshold=4, eq_bottleneck=7,
+                          opt_bottleneck=1, trace=[])
+    fresh = iter(range(3, 200))
+
+    def take(k):
+        return [next(fresh) for _ in range(k)]
+
+    for _ in range(2):
+        tsg.add_player([0], [0])
+    tsg.add_player([1], [next(fresh), 2])
+    for _ in range(4):
+        tsg.add_player([1], take(25))
+    tsg.add_player([2], [1, *take(13)] if requeue else take(49))
+    for _ in range(6):
+        tsg.add_player([2], [2])
+    locked = tsg.add_player([0, *take(27)], [1])
+    tsg.check_equilibrium()
+    return tsg, locked
+
+
+def unsplit_survivor_workspace():
+    """Degree 1, level 4: a multi player on resource 0 (congestion 4) and a
+    private id pays 5, in the band, tracked to five fresh ids.  Left unsplit,
+    it survives the band tracked to more than one resource."""
+    tsg = TwoStrategyGame(num_resources=7, degree=1, threshold=3, eq_bottleneck=4,
+                          opt_bottleneck=1, trace=[])
+    for _ in range(3):
+        tsg.add_player([0], [0])
+    pid = tsg.add_player([0, 1], range(2, 7))
+    tsg.check_equilibrium()
+    return tsg, pid
+
+
 class TestRunPhase:
     def test_phase_with_empty_band_is_noop(self):
         game = Game.build(3, 1, [[[0]], [[1]], [[2]]])
@@ -743,6 +788,99 @@ class TestRunPhase:
         pid = tsg.add_player([0, 1], range(6, 12))
         with pytest.raises(StructuralError, match=f"multi player {pid} above the band at level 4"):
             run_phase(tsg, 4)
+
+    @pytest.mark.parametrize("requeue", [True, False])
+    def test_mark_round_sub_player_above_the_level(self, requeue):
+        tsg, locked = mark_sub_player_workspace(requeue)
+        phase = run_phase(tsg, 5)
+        ops = [line["op"] for line in tsg.trace]
+        # The band split is one part; the survivor is locked on resource 1.
+        (survivor,) = tsg.trace[0]["new_ids"]
+        assert tsg.trace[0]["player"] == locked
+        mark = tsg.trace[2]
+        assert (mark["op"], mark["player"], mark["resource"]) == ("mark", survivor, 1)
+        *_, (sub_eq, sub_opt) = tsg.trace[1]["pairs"]
+        sub = mark["new_ids"][-1]
+        assert len(sub_eq) == 26 and sub_opt == [2]
+        eliminate = tsg.trace[3]
+        assert (eliminate["op"], eliminate["player"], eliminate["resource"]) == ("eliminate", sub, 2)
+        if requeue:
+            assert eliminate["new_opt"] == [1]
+            assert ops == ["split", "split", "mark", "eliminate", "split", "mark", "phase"]
+            assert tsg.trace[5]["player"] == sub
+            assert (phase.splits, phase.markings) == (3, 2)
+        else:
+            assert all(tsg._eq_cong[r] < 5 for r in eliminate["new_opt"])
+            assert ops == ["split", "split", "mark", "eliminate", "split", "phase"]
+            assert tsg.trace[4]["player"] == sub
+            assert (phase.splits, phase.markings) == (3, 1)
+        assert all(tsg.cost(pid) <= 25 for pid in tsg.multi_ids())
+        tsg.check_equilibrium()
+        assert stable_from_scratch(tsg)
+
+    def test_band_survivor_off_one_resource_is_rejected(self, monkeypatch):
+        tsg, pid = unsplit_survivor_workspace()
+        monkeypatch.setattr(transform, "split_player", lambda tsg, pid: [pid])
+        with pytest.raises(StructuralError, match=f"band survivor {pid} is not tracked to one"):
+            run_phase(tsg, 4)
+
+
+PHASE_GUARDS = ("marking budget exhausted", "no unmarked donor available")
+
+
+def phase_statements():
+    """Line of every statement in ``run_phase`` and ``_erase_above``, but
+    their docstrings and the two guard raises in ``PHASE_GUARDS``."""
+    lines, guards = {}, 0
+    for func in (run_phase, transform._erase_above):
+        source, start = inspect.getsourcelines(func)
+        text = textwrap.dedent("".join(source))
+        (node,) = ast.parse(text).body
+        docstring = node.body[0]
+        for stmt in ast.walk(node):
+            if not isinstance(stmt, ast.stmt) or stmt in (node, docstring):
+                continue
+            if isinstance(stmt, ast.Raise) and any(
+                    guard in ast.get_source_segment(text, stmt) for guard in PHASE_GUARDS):
+                guards += 1
+                continue
+            lines[stmt.lineno + start - 1] = f"{func.__name__}: {ast.unparse(stmt).splitlines()[0]}"
+    assert guards == len(PHASE_GUARDS)
+    return lines
+
+
+def test_every_phase_statement_runs_in_a_pinned_case(monkeypatch):
+    """``coverage`` is not a dependency, so ``sys.settrace`` records the lines
+    of the phase code that the golden transform runs and the workspace cases
+    above reach; every statement but the two guards must run."""
+    from test_golden import CASES, run_case
+
+    codes = {run_phase.__code__, transform._erase_above.__code__}
+    ran = set()
+
+    def local(frame, event, arg):
+        if event == "line":
+            ran.add(frame.f_lineno)
+        return local
+
+    def tracer(frame, event, arg):
+        return local if frame.f_code in codes else None
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        for name in sorted(CASES):
+            if name.startswith("transform_"):
+                assert run_case(CASES[name])[0] == 0, name
+        for requeue in (True, False):
+            run_phase(mark_sub_player_workspace(requeue)[0], 5)
+        monkeypatch.setattr(transform, "split_player", lambda tsg, pid: [pid])
+        with pytest.raises(StructuralError, match="band survivor"):
+            run_phase(unsplit_survivor_workspace()[0], 4)
+    finally:
+        sys.settrace(previous)
+    statements = phase_statements()
+    assert not [text for line, text in sorted(statements.items()) if line not in ran]
 
 
 class TestFullTransform:
