@@ -308,31 +308,22 @@ def clean_game(tsg: TwoStrategyGame) -> TwoStrategyGame:
         player = tsg.players[pid]
         if len(player.opt_strategy) < 2:
             continue
-        cost = tsg.cost(pid)
-        total = tsg.deviation(pid)
-        kept = set(player.opt_strategy)
-        for r in sorted(kept, key=lambda r: (tsg._eq_cong[r], r)):
-            if len(kept) < 2:
-                break
+        slack = tsg.deviation(pid) - tsg.cost(pid)
+        order = sorted(player.opt_strategy, key=lambda r: (tsg._eq_cong[r], r))
+        removed = 0
+        for r in order[:-1]:
             term = switch_cost(tsg._eq_cong, player.eq_strategy, (r,), tsg.degree)
-            if cost <= total - term:
-                total -= term
-                kept.discard(r)
-                tsg.record("prune", player=pid, removed=r)
-            else:
+            if term > slack:
                 break
-        if len(kept) < len(player.opt_strategy):
-            tsg.retrack(pid, kept)
+            slack -= term
+            removed += 1
+            tsg.record("prune", player=pid, removed=r)
+        if removed:
+            tsg.retrack(pid, order[removed:])
 
     # Splitting preserves tracked congestion; pruning may only lower it.
     if any(c > before_opt[r] for r, c in tsg.opt_congestion().items()):
         raise StructuralError("cleaning raised a tracked congestion", state=tsg.to_dict())
-    for pid in tsg.multi_ids():
-        p = tsg.players[pid]
-        if set(p.eq_strategy) & set(p.opt_strategy):
-            raise StructuralError(
-                f"multi player {pid} still overlaps its tracked strategy", state=tsg.to_dict()
-            )
     return tsg
 
 
@@ -349,7 +340,8 @@ def greedy_cover_pairs(
     """Pair equilibrium resources with covering tracked resources.
 
     ``played`` and ``tracked`` are a player's two disjoint strategies, priced
-    on any ``congestion`` that ``switch_cost`` reads.  Requires the
+    on any ``congestion`` that ``switch_cost`` reads, with each played
+    resource at 1 or more (its player's own use).  Requires the
     equilibrium inequality sum((c+1)**M over tracked) >= sum(c**M over
     played); returns the sorted (played, tracked) parts that ``replace``
     takes, where the tracked side always covers the played side at +1
@@ -367,44 +359,34 @@ def greedy_cover_pairs(
     if sum(values) < sum(needs):
         raise PreconditionError("player is not in equilibrium: "
                                 "tracked resources cannot cover its cost")
-    uses = [0] * m
     pairs: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    start = 0
-    i = 0
+    # Each pair covers opt[first..j].  opt[j] is carried to the next pair
+    # (``shared``), unless this pair took it alone and it was already carried.
+    j, shared, i = 0, False, 0
     while i < len(eq):
-        need = needs[i]
-        group = [eq[i]]
-        cover: list[int] = []
-        total = 0
-        # ``start`` has a use left, and every later index is unused.
-        q = boundary = start
-        while total < need:
-            if q >= m:
-                raise StructuralError("ran out of tracked resources while forming cover pairs",
-                                      state={"eq": eq, "opt": opt, "pairs": pairs})
-            cover.append(opt[q])
-            uses[q] += 1
-            total += values[q]
-            boundary = q
-            if total < need:
-                q += 1
+        group, need, first, total = [eq[i]], needs[i], j, 0
+        for j in range(first, m):
+            total += values[j]
+            if total >= need:
+                break
+        else:
+            raise StructuralError("ran out of tracked resources while forming cover pairs",
+                                  state={"eq": eq, "opt": opt, "pairs": pairs})
         i += 1
-        start = boundary if uses[boundary] < 2 else boundary + 1
-        if len(cover) == 1 and boundary == m - 1:
+        if first == j == m - 1:
             # Last tracked resource: absorb further played resources while the
             # single cover still dominates them.  A played resource above the
             # cover's congestion c needs at least (c+1)**M, the whole capacity.
-            capacity = values[boundary]
-            group_mass = need
-            while i < len(eq) and group_mass + needs[i] <= capacity:
+            while i < len(eq) and need + needs[i] <= total:
                 group.append(eq[i])
-                group_mass += needs[i]
+                need += needs[i]
                 i += 1
-        pairs.append((tuple(sorted(group)), tuple(sorted(cover))))
+        pairs.append((tuple(sorted(group)), tuple(sorted(opt[first:j + 1]))))
+        j, shared = (j + 1, False) if first == j and shared else (j, True)
 
     # Use as much of the tracked strategy as possible: sweep leftover tracked
     # resources into the final pair when its played side is a singleton.
-    leftover = [opt[j] for j in range(m) if uses[j] == 0]
+    leftover = opt[j + shared:]
     if leftover and len(pairs[-1][0]) == 1:
         group, cover = pairs[-1]
         pairs[-1] = (group, tuple(sorted({*cover, *leftover})))
@@ -454,14 +436,10 @@ def eliminate_high_congestion(tsg: TwoStrategyGame, level: int, pid: int) -> Non
     player = tsg.players[pid]
     while len(player.opt_strategy) == 1 and tsg._eq_cong[player.opt_strategy[0]] > level:
         x = player.opt_strategy[0]
-        hosts = [qid for qid in tsg.singles_on(x) if qid != pid]
-        if not hosts:
-            raise StructuralError(f"no singleton player available on over-congested resource {x}",
-                                  state=tsg.to_dict())
-        hosts.sort(key=lambda qid: (-len(tsg.players[qid].opt_strategy), qid))
+        hosts = sorted((qid for qid in tsg.singles_on(x) if qid != pid),
+                       key=lambda qid: (-len(tsg.players[qid].opt_strategy), qid))
         cost = tsg.cost(pid)
         eq_set = set(player.eq_strategy)
-        chosen = None
         for qid in hosts:
             donor = tsg.players[qid]
             high = [r for r in donor.opt_strategy if tsg._eq_cong[r] >= level]
@@ -476,13 +454,11 @@ def eliminate_high_congestion(tsg: TwoStrategyGame, level: int, pid: int) -> Non
                 continue  # multi players must stay separable for later splits
             dev = tsg.deviation(pid, fset)
             if dev is not None and cost <= dev:
-                chosen = (qid, fset)
                 break
-        if chosen is None:
+        else:
             raise StructuralError(
                 f"no usable donor on over-congested resource {x} for player {pid}",
                 state=tsg.to_dict())
-        qid, fset = chosen
         before_opt = tsg.opt_congestion()
         tsg.retrack(pid, fset)
         tsg.retrack(qid, (x,))

@@ -241,6 +241,14 @@ class TestBounds:
         assert upper_bound_singleton(1, 1) == 2.0
         assert upper_bound_general(1, 1) == 14.0
 
+    @pytest.mark.parametrize("num_resources, degree, message", [
+        (0, 1, "num_resources must be >= 1, got 0"),
+        (1, 0, "degree must be >= 1, got 0"),
+    ])
+    def test_rejects_no_resources_and_degree_zero(self, num_resources, degree, message):
+        with pytest.raises(ValueError, match=message):
+            upper_bound_singleton(num_resources, degree)
+
     def test_direct_evaluations(self):
         assert upper_bound_singleton(16, 1) == pytest.approx(13.416407864998739)
         assert upper_bound_singleton(8, 2) == pytest.approx(6.316359597656378)
