@@ -191,17 +191,14 @@ def encode_game(game: Game, cap: int | None = None) -> GameArrays:
     for i, (p0, p1) in enumerate(zip(starts, starts[1:])):
         kinds.setdefault((tuple(map(tuple, rows[p0:p1])), tuple(private[p0:p1])), []).append(i)
     members = list(kinds.values())
-    strats = [len(game.strategies[m[0]]) for m in members]
-    counts = [math.comb(len(m) + k - 1, k - 1) for m, k in zip(members, strats)]
+    counts = [math.comb(len(m) + len(priv) - 1, len(priv) - 1) for (_, priv), m in kinds.items()]
     num_orbits = math.prod(counts)
     if cap is not None and num_orbits > cap:
         raise StateSpaceTooLargeError(
             f"{num_orbits} orbits exceed the cap of {cap}; raise the cap to proceed"
         )
-    if len(members) < n:
-        rows = [row for m in members for row in rows[starts[m[0]]:starts[m[0] + 1]]]
-        private = [c for m in members for c in private[starts[m[0]]:starts[m[0] + 1]]]
-    orbits = [None if len(m) == 1 else _orbit_tables(len(m), k) for m, k in zip(members, strats)]
+    orbits = [None if len(m) == 1 else _orbit_tables(len(m), len(priv))
+              for (_, priv), m in kinds.items()]
 
     weights = [1] * len(members)
     block = 1
@@ -209,9 +206,6 @@ def encode_game(game: Game, cap: int | None = None) -> GameArrays:
         weights[t] = block
         block *= counts[t]
     max_len = max(map(len, rows))
-    table = np.array(
-        [row + [z] * (max_len - len(row)) for row in rows], dtype=np.int64
-    ).reshape(len(rows), max_len)  # the reshape keeps a zero-width table 2-d
 
     # Exact delays over all reachable congestions (<= n players on a resource,
     # one spare entry above n).
@@ -223,11 +217,11 @@ def encode_game(game: Game, cap: int | None = None) -> GameArrays:
     fits = not int64_safe and (max(max_len, 1) * pow_exact[-1] + max(private)).bit_length() < 1023
     deviations = []
     gather = 0  # widest (width, k) deviation gather of a type
-    for p0, k in zip(itertools.accumulate(strats, initial=0), strats):
-        width = max(map(len, rows[p0:p0 + k]))
-        gather = max(gather, k * width)
-        priv = private[p0:p0 + k]
-        deviations.append((table[p0:p0 + k, :width].T.copy(), None if min(priv) == max(priv)
+    for shared_rows, priv in kinds:  # slot by slot, ghost-padded to the type's longest row
+        alt = np.array(list(itertools.zip_longest(*shared_rows, fillvalue=z)),
+                       dtype=np.int64).reshape(-1, len(priv))  # zero-width stays 2-d
+        gather = max(gather, alt.size)
+        deviations.append((alt, None if min(priv) == max(priv)
                            else np.array(priv, dtype=np.int64)[:, None]))
 
     # Per orbit a chunk holds a congestion row and, for one type at a time,

@@ -149,12 +149,16 @@ class TwoStrategyGame:
         return self.players[pid]
 
     def _check_ids(self, pid: int, strategies: Iterable[tuple[int, ...]]) -> None:
-        """Refuse sorted strategies with an id outside ``[0, num_resources)``
-        before they enter the workspace: every strategy that enters comes here."""
+        """Refuse sorted strategies with an id outside ``[0, num_resources)``,
+        or with an id twice, before they enter the workspace: every strategy
+        that enters comes here."""
         for s in strategies:
             if s and not (0 <= s[0] and s[-1] < self.num_resources):
                 raise StructuralError(f"strategy {list(s)} of player {pid} leaves the resources "
                                       f"[0, {self.num_resources})", state=self.to_dict())
+            if len(set(s)) < len(s):
+                raise StructuralError(f"strategy {list(s)} of player {pid} repeats a resource",
+                                      state=self.to_dict())
 
     def _played(self) -> set[int]:
         """Resources someone plays: exactly those at congestion 1 or more."""

@@ -1,3 +1,4 @@
+import collections
 import copy
 import itertools
 import json
@@ -93,6 +94,45 @@ def nash_mask_loop(counts, weights, player_ptr, strat_ptr, strat_res, pow_table,
                 break
         out[k] = ok
     return out
+
+
+def reference_deviations(game):
+    """Each type's (alt, private) as built through one game-wide table: every
+    strategy ghost-padded to the game's longest shared part, then each type's
+    rows, those of its first member, cut to the type's width and transposed."""
+    flat = [s for strat_set in game.strategies for s in strat_set]
+    holders = collections.Counter(r for strat_set in game.strategies
+                                  for r in set(itertools.chain(*strat_set)))
+    compact = {r: j for j, r in enumerate(sorted(r for r, c in holders.items() if c > 1))}
+    z = len(compact)
+    rows = [[compact[r] for r in s if r in compact] for s in flat]
+    private = [len(s) - len(row) for s, row in zip(flat, rows)]
+    max_len = max(map(len, rows))
+    table = np.array([row + [z] * (max_len - len(row)) for row in rows],
+                     dtype=np.int64).reshape(len(rows), max_len)
+    starts = list(itertools.accumulate(map(len, game.strategies), initial=0))
+    first = {}
+    for p0, p1 in zip(starts, starts[1:]):
+        first.setdefault((tuple(map(tuple, rows[p0:p1])), tuple(private[p0:p1])), p0)
+    out = []
+    for (type_rows, priv), p0 in first.items():
+        k, width = len(priv), max(map(len, type_rows))
+        out.append((table[p0:p0 + k, :width].T.copy(), None if min(priv) == max(priv)
+                    else np.array(priv, dtype=np.int64)[:, None]))
+    return out
+
+
+def assert_deviations_match_reference(game):
+    enc = kernels.encode_game(game)
+    expected = reference_deviations(game)
+    assert len(enc.deviations) == len(expected) == len(enc.members)
+    for (alt, private), (ref_alt, ref_private) in zip(enc.deviations, expected):
+        assert alt.dtype == ref_alt.dtype and alt.shape == ref_alt.shape
+        assert alt.flags.c_contiguous and np.array_equal(alt, ref_alt)
+        assert (private is None) == (ref_private is None)
+        if private is not None:
+            assert private.dtype == ref_private.dtype and private.shape == ref_private.shape
+            assert np.array_equal(private, ref_private)
 
 
 def array_bytes(value) -> int:
@@ -221,6 +261,26 @@ BLOCK_SHAPES = {
     "block_empty_suffix": (3, 1),
     "block_multi_type_prefix": (1, 6),
 }
+
+
+@st.composite
+def typed_games(draw):
+    """Players copied from a few templates.  A template strategy holds ids
+    from a small pool (perhaps none) and a number of private hops; each copy
+    takes fresh ids for its hops, so copies of a template form one type and
+    some strategies are private only."""
+    pool = draw(st.integers(1, 5))
+    strategy = st.tuples(st.lists(st.integers(0, pool - 1), max_size=3, unique=True),
+                         st.integers(0, 3)).filter(lambda t: t[0] or t[1])
+    templates = draw(st.lists(st.lists(strategy, min_size=1, max_size=4), min_size=1, max_size=3))
+    picks = draw(st.lists(st.integers(0, len(templates) - 1), min_size=1, max_size=6))
+    players, fresh = [], pool
+    for t in picks:
+        players.append([])
+        for ids, hops in templates[t]:
+            players[-1].append(ids + list(range(fresh, fresh + hops)))
+            fresh += hops
+    return Game.build(fresh, draw(st.integers(1, 3)), players)
 
 
 class TestEncoding:
@@ -364,20 +424,35 @@ class TestEncoding:
             if not old:
                 assert value == getattr(enc, key), key
 
-    def test_encode_peak_grows_with_the_input(self):
-        # 2,000 one-strategy players on a chain share 2,001 resources: a
-        # count over every strategy row times every shared resource would
-        # peak at about 32 MB.
+    # 2,000 one-strategy players on a chain [i, i+1].  Beside two
+    # two-strategy players they share 2,001 resources: a count over every
+    # strategy row times every shared resource would peak at about 32 MB.
+    # Beside one player whose second strategy holds 2,000 shared ids: every
+    # strategy padded to that width would peak at about 60 MB.
+    @pytest.mark.parametrize("extra, used, orbits", [
+        pytest.param([[[0], [2000]], [[1], [1999]]], 2001, 4, id="two_strategy_pair"),
+        pytest.param([[[0], list(range(2000))]], 2000, 2, id="one_wide_strategy"),
+    ])
+    def test_encode_peak_grows_with_the_input(self, extra, used, orbits):
         n = 2000
-        game = Game.build(n + 1, 1, [[[i, i + 1]] for i in range(n)] + [[[0], [n]], [[1], [n - 1]]])
+        game = Game.build(n + 1, 1, [[[i, i + 1]] for i in range(n)] + extra)
         tracemalloc.start()
         try:
             enc = kernels.encode_game(game)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert enc.num_used == n + 1 and enc.num_orbits == 4
+        assert enc.num_used == used and enc.num_orbits == orbits
         assert peak <= 4 * kernels._CHUNK_CELLS * 8
+
+    @pytest.mark.parametrize("name", sorted(EDGE_GAMES))
+    def test_deviations_match_the_padded_reference(self, name):
+        assert_deviations_match_reference(EDGE_GAMES[name])
+
+    @settings(max_examples=150, deadline=None)
+    @given(typed_games())
+    def test_deviations_of_repeated_types_match_the_padded_reference(self, game):
+        assert_deviations_match_reference(game)
 
     def test_float_table_only_on_the_object_path_below_overflow(self):
         assert kernels.encode_game(EDGE_GAMES["unequal_lengths"]).pow_float is None

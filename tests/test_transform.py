@@ -734,6 +734,25 @@ class TestRangeCheck:
             tsg.replace(p, [([0], [2]), ([1], [bad])])
         assert workspace_state(tsg) == before
 
+    # A repeated id would count one player twice on a resource, and index a
+    # one-resource player as a multi player.
+    @pytest.mark.parametrize("call, bad, who", [
+        pytest.param(lambda tsg, p: tsg.add_player([0, 0], [1, 1]), "0, 0", 3,
+                     id="add_player_played"),
+        pytest.param(lambda tsg, p: tsg.add_player([2], [1, 1]), "1, 1", 3,
+                     id="add_player_tracked"),
+        pytest.param(lambda tsg, p: tsg.retrack(p, [2, 2]), "2, 2", 0, id="retrack"),
+        pytest.param(lambda tsg, p: tsg.replace(p, [([0], [2, 2]), ([1], [3])]), "2, 2", 0,
+                     id="replace_tracked_part"),
+    ])
+    def test_a_repeated_id_is_refused(self, call, bad, who):
+        tsg, p = self._workspace()
+        before = workspace_state(tsg)
+        with pytest.raises(StructuralError,
+                           match=rf"strategy \[{bad}\] of player {who} repeats a resource"):
+            call(tsg, p)
+        assert workspace_state(tsg) == before
+
 
 def test_no_player_is_rechecked_unchanged(monkeypatch):
     # Outside the final full check, a player is checked once per pair of
