@@ -49,6 +49,15 @@ def _normalize_strategy(
     return tuple(sorted(resources if plain else map(int, resources)))
 
 
+def _positive(name: str, value: Any) -> int:
+    """A game's ``num_resources`` or ``degree`` as a plain int >= 1."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise GameFormatError(f"field {name!r} must be an integer, got {value!r}")
+    if value < 1:
+        raise GameFormatError(f"{name} must be >= 1, got {value}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Game:
     """Immutable game: ``strategies[i][s]`` is the s-th strategy of player i,
@@ -59,10 +68,8 @@ class Game:
     strategies: tuple[tuple[tuple[int, ...], ...], ...]
 
     def __post_init__(self) -> None:
-        if self.num_resources < 1:
-            raise GameFormatError(f"num_resources must be >= 1, got {self.num_resources}")
-        if self.degree < 1:
-            raise GameFormatError(f"degree must be >= 1, got {self.degree}")
+        for name in ("num_resources", "degree"):
+            object.__setattr__(self, name, _positive(name, getattr(self, name)))
         if not self.strategies:
             raise GameFormatError("a game needs at least one player")
         for i, strat_set in enumerate(self.strategies):
@@ -77,6 +84,8 @@ class Game:
         players: Sequence[Sequence[Iterable[int]]],
     ) -> "Game":
         """Validate and normalize raw nested lists into a Game."""
+        num_resources = _positive("num_resources", num_resources)
+        degree = _positive("degree", degree)
         normalized = tuple(
             tuple(
                 _normalize_strategy(strategy, num_resources, i, s)
@@ -232,15 +241,7 @@ def game_from_dict(data: Any) -> Game:
     for key in ("degree", "num_resources", "players"):
         if key not in data:
             raise GameFormatError(f"missing required field {key!r}")
-    degree = data["degree"]
-    num_resources = data["num_resources"]
     players = data["players"]
-    if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
-        raise GameFormatError(f"field 'degree' must be an integer >= 1, got {degree!r}")
-    if not isinstance(num_resources, int) or isinstance(num_resources, bool) or num_resources < 1:
-        raise GameFormatError(
-            f"field 'num_resources' must be an integer >= 1, got {num_resources!r}"
-        )
     if not isinstance(players, list) or not players:
         raise GameFormatError("field 'players' must be a non-empty list")
     for i, strat_set in enumerate(players):
@@ -249,7 +250,7 @@ def game_from_dict(data: Any) -> Game:
         for s, strategy in enumerate(strat_set):
             if not isinstance(strategy, list):
                 raise GameFormatError(f"player {i} strategy {s}: must be a list of resource ids")
-    return Game.build(num_resources=num_resources, degree=degree, players=players)
+    return Game.build(num_resources=data["num_resources"], degree=data["degree"], players=players)
 
 
 def load_game(path: str) -> Game:

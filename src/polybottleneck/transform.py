@@ -149,11 +149,12 @@ class TwoStrategyGame:
         return self.players[pid]
 
     def _check_ids(self, pid: int, strategies: Iterable[tuple[int, ...]]) -> None:
-        """Refuse sorted strategies with an id outside ``[0, num_resources)``,
-        or with an id twice, before they enter the workspace: every strategy
-        that enters comes here."""
+        """Refuse a sorted strategy that is empty, holds an id twice or one outside
+        ``[0, num_resources)``: every strategy entering the workspace comes here."""
         for s in strategies:
-            if s and not (0 <= s[0] and s[-1] < self.num_resources):
+            if not s:
+                raise StructuralError(f"a strategy of player {pid} is empty", state=self.to_dict())
+            if not (0 <= s[0] and s[-1] < self.num_resources):
                 raise StructuralError(f"strategy {list(s)} of player {pid} leaves the resources "
                                       f"[0, {self.num_resources})", state=self.to_dict())
             if len(set(s)) < len(s):
@@ -195,19 +196,17 @@ class TwoStrategyGame:
         eq = self.players[pid].eq_strategy
         return switch_cost(self._eq_cong, eq, eq, self.degree)
 
-    def deviation(self, pid: int, opt: Sequence[int] | None = None) -> int | None:
-        """Cost of switching to the tracked strategy; None when there is none."""
+    def deviation(self, pid: int, opt: Sequence[int] | None = None) -> int:
+        """Cost of switching to the tracked strategy, or to ``opt``."""
         player = self.players[pid]
         target = player.opt_strategy if opt is None else tuple(opt)
-        if not target:
-            return None
         return switch_cost(self._eq_cong, player.eq_strategy, target, self.degree)
 
     def in_equilibrium(self, eq: tuple[int, ...], opt: tuple[int, ...]) -> bool:
-        """Whether a player playing ``eq`` and tracked to ``opt`` (none when
-        empty) has no strictly cheaper switch, on the current congestion."""
-        return not opt or (switch_cost(self._eq_cong, eq, eq, self.degree)
-                           <= switch_cost(self._eq_cong, eq, opt, self.degree))
+        """Whether a player playing ``eq`` and tracked to ``opt`` has no
+        strictly cheaper switch, on the current congestion."""
+        return (switch_cost(self._eq_cong, eq, eq, self.degree)
+                <= switch_cost(self._eq_cong, eq, opt, self.degree))
 
     def check_equilibrium(self) -> None:
         """Check every player, lowest id first: the full check of a roster
@@ -406,22 +405,21 @@ def split_player(tsg: TwoStrategyGame, pid: int) -> list[int]:
     player's strategy, and that every sub-player is in equilibrium), so each
     sub-player's cost is a sub-sum of the old player's and needs no check.
     """
-    player = tsg.players[pid]
+    player = tsg._player(pid)
     if player.is_singleton:
         raise PreconditionError(f"player {pid} already uses a single resource")
     if set(player.eq_strategy) & set(player.opt_strategy):
         raise PreconditionError(f"player {pid} has overlapping strategies; clean the game first")
     pairs = greedy_cover_pairs(player.eq_strategy, player.opt_strategy, tsg._eq_cong, tsg.degree)
     # A multi sub-player may cost at most joining its most congested tracked resource.
-    dearest = max(player.opt_strategy, key=lambda r: tsg._eq_cong[r])
-    cap = switch_cost(tsg._eq_cong, (), (dearest,), tsg.degree)
+    cap = delay(max(tsg._eq_cong[r] for r in player.opt_strategy) + 1, tsg.degree)
+    for nid, (eq, _) in enumerate(pairs, start=tsg._next_id):
+        if len(eq) > 1 and (c := switch_cost(tsg._eq_cong, eq, eq, tsg.degree)) > cap:
+            raise StructuralError(f"multi sub-player {nid} of {pid} costs {c}, above {cap}",
+                                  state=tsg.to_dict())
     new_ids = tsg.replace(pid, pairs)
     tsg.record("split", player=pid, new_ids=new_ids,
                pairs=[[list(eq), list(opt)] for eq, opt in pairs])
-    for nid in new_ids:
-        if not tsg.players[nid].is_singleton and (c := tsg.cost(nid)) > cap:
-            raise StructuralError(f"multi sub-player {nid} of {pid} costs {c}, above {cap}",
-                                  state=tsg.to_dict())
     return new_ids
 
 
@@ -437,7 +435,7 @@ def eliminate_high_congestion(tsg: TwoStrategyGame, level: int, pid: int) -> Non
     of) its own tracked strategy and is itself re-tracked to the resource it
     plays.  Neither congestion vector changes on the affected resources.
     """
-    player = tsg.players[pid]
+    player = tsg._player(pid)
     while len(player.opt_strategy) == 1 and tsg._eq_cong[player.opt_strategy[0]] > level:
         x = player.opt_strategy[0]
         hosts = sorted((qid for qid in tsg.singles_on(x) if qid != pid),
@@ -456,8 +454,7 @@ def eliminate_high_congestion(tsg: TwoStrategyGame, level: int, pid: int) -> Non
                 continue  # would not make progress
             if not player.is_singleton and set(fset) & eq_set:
                 continue  # multi players must stay separable for later splits
-            dev = tsg.deviation(pid, fset)
-            if dev is not None and cost <= dev:
+            if cost <= tsg.deviation(pid, fset):
                 break
         else:
             raise StructuralError(
@@ -704,8 +701,7 @@ def verify_domination(
         r for i in range(game.num_players) for r in game.chosen(nash_profile, i)
     )
     equilibrium_ok = all(
-        not p.opt_strategy
-        or switch_cost(played, p.eq_strategy, p.eq_strategy, tsg.degree)
+        switch_cost(played, p.eq_strategy, p.eq_strategy, tsg.degree)
         <= switch_cost(played, p.eq_strategy, p.opt_strategy, tsg.degree)
         for p in tsg.players.values()
     )

@@ -108,6 +108,8 @@ class TestAnalyze:
                      "'num_resources' must be an integer", id="float_num_resources"),
         pytest.param({"degree": 1, "num_resources": True, "players": [[[0]]]},
                      "'num_resources' must be an integer", id="bool_num_resources"),
+        pytest.param({"degree": "1", "num_resources": 2, "players": [[[0]]]},
+                     "'degree' must be an integer", id="string_degree"),
         pytest.param({"degree": 1, "num_resources": 2, "players": [[]]},
                      "player 0: strategy set must be a non-empty list", id="empty_strategy_set"),
         pytest.param({"degree": 1, "num_resources": 2, "players": [[[0]], 5]},

@@ -16,7 +16,11 @@ from polybottleneck.equilibria import (
     price_of_anarchy,
     rosenthal_potential,
 )
-from polybottleneck.errors import NonConvergenceError, StateSpaceTooLargeError
+from polybottleneck.errors import (
+    InvalidProfileError,
+    NonConvergenceError,
+    StateSpaceTooLargeError,
+)
 from polybottleneck.game_core import Game, bottleneck, congestion_of, player_cost
 
 from conftest import (
@@ -52,6 +56,14 @@ class TestBestResponse:
         game = Game.build(2, 1, [[[0], [1]], [[0]]])
         # player 0 shares resource 0 with player 1; resource 1 is free
         assert best_response(game, (1, 0), 0) == 1
+
+    @pytest.mark.parametrize("player", [-1, 2])
+    def test_player_outside_the_game_is_refused(self, player):
+        # As player_cost refuses it: -1 would answer for the last player, and
+        # 2 would index past the strategy lists.
+        game = Game.build(2, 1, [[[0], [1]], [[0]]])
+        with pytest.raises(InvalidProfileError, match=f"no player {player} in a 2-player game"):
+            best_response(game, (1, 0), player)
 
     def test_family_direct_state_is_retained(self):
         inst = lower_bound.generate(4, 1)

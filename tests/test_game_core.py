@@ -310,6 +310,9 @@ class TestGameFormat:
     @pytest.mark.parametrize("field, problem", [
         pytest.param({"num_resources": 0}, "num_resources must be >= 1", id="no_resources"),
         pytest.param({"degree": 0}, "degree must be >= 1", id="degree_zero"),
+        pytest.param({"num_resources": 2.0}, "'num_resources' must be an integer",
+                     id="float_resources"),
+        pytest.param({"degree": True}, "'degree' must be an integer", id="bool_degree"),
         pytest.param({"strategies": ()}, "at least one player", id="no_players"),
         pytest.param({"strategies": (((0,),), ())}, "player 1: empty strategy set",
                      id="empty_strategy_set"),
@@ -320,6 +323,32 @@ class TestGameFormat:
         Game(**fields)
         with pytest.raises(GameFormatError, match=problem):
             Game(**{**fields, **field})
+
+    @pytest.mark.parametrize("num_resources, degree, problem", [
+        pytest.param(4.5, 1, "'num_resources' must be an integer", id="float_resources"),
+        pytest.param(True, 1, "'num_resources' must be an integer", id="bool_resources"),
+        pytest.param("4", 1, "'num_resources' must be an integer", id="str_resources"),
+        pytest.param(4, 1.0, "'degree' must be an integer", id="float_degree"),
+        pytest.param(4, False, "'degree' must be an integer", id="bool_degree"),
+        pytest.param(4, "1", "'degree' must be an integer", id="str_degree"),
+        pytest.param(0, 1, "num_resources must be >= 1, got 0", id="no_resources"),
+        pytest.param(np.int64(4), np.int64(0), "degree must be >= 1, got 0",
+                     id="numpy_degree_zero"),
+    ])
+    def test_build_checks_the_sizes_first(self, num_resources, degree, problem):
+        # Before any strategy is read: a bad size is named, not an id out of
+        # its range, nor a TypeError from comparing an id with a string.
+        with pytest.raises(GameFormatError, match=problem):
+            Game.build(num_resources, degree, [[[0], [1]]])
+
+    def test_numpy_sizes_are_stored_as_ints(self, tmp_path):
+        game = Game.build(np.int64(3), np.int64(1), [[[0], [np.int64(2)]], [[1]]])
+        assert type(game.num_resources) is int and type(game.degree) is int
+        assert Game(np.int64(3), np.int64(1), game.strategies) == game
+        path = str(tmp_path / "game.json")
+        save_game(game, path)
+        assert load_game(path) == game
+        assert is_nash(game, (0, 0))
 
     def test_round_trip(self, tmp_path):
         game = Game.build(4, 2, [[[0, 1], [2]], [[3], [1, 2]]])

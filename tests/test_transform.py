@@ -115,6 +115,18 @@ class TestClean:
         clean_game(tsg)
         assert np.array_equal(tsg.opt_congestion(), opt_before)
 
+    def test_tracked_strategy_inside_the_played_one_is_refused(self):
+        # Player 0 plays {0, 1} and is tracked to {0}: switching would save
+        # resource 1, so no weak Nash state holds it, and its residual part
+        # would play {1} tracked to nothing.  The split is refused unchanged.
+        tsg = TwoStrategyGame(num_resources=2, degree=1, threshold=9,
+                              eq_bottleneck=1, opt_bottleneck=1)
+        pid = tsg.add_player([0, 1], [0])
+        before = workspace_state(tsg)
+        with pytest.raises(StructuralError, match=f"a strategy of player {pid} is empty"):
+            clean_game(tsg)
+        assert workspace_state(tsg) == before
+
     def test_raised_tracked_load_is_caught(self, monkeypatch):
         # A pruning that also tracks the player to a resource no one was
         # tracked to: the player stays stable, so only the load check fires.
@@ -356,6 +368,29 @@ def test_cover_pairs_match_the_use_counting_walk(args):
     assert cover_outcome(greedy_cover_pairs, args) == cover_outcome(reference_cover_pairs, args)
 
 
+@pytest.mark.xfail(strict=True, raises=StructuralError,
+                   reason="the cover walk runs out on the RUNS_OUT player; the mend changes output")
+def test_weak_nash_state_holding_the_runs_out_player_transforms():
+    # Degree 1, 28 players on 292 resources.  The RUNS_OUT player plays 15
+    # private ids or the three cover ids; four players sit on each cover id,
+    # or on 4 private ids each; 15 sit on a hub, or on 15 private ids each.
+    # Everyone is indifferent, so the all-first profile is weak Nash.
+    fresh = iter(range(292))
+
+    def take(k):
+        return [next(fresh) for _ in range(k)]
+
+    covers, hub = take(3), take(1)
+    players = [[take(15), covers]]
+    players += [[[c], take(4)] for c in covers for _ in range(4)]
+    players += [[hub, take(15)] for _ in range(15)]
+    assert next(fresh, None) is None and len(players) == 28
+    game = Game.build(292, 1, players)
+    nash, detours = (0,) * 28, (1,) * 28
+    assert equilibria.is_nash(game, nash)
+    transform_to_singletons(game, nash, detours)
+
+
 class TestSplitPlayer:
     def test_single_pair_replaces_player(self):
         tsg = TwoStrategyGame(num_resources=4, degree=1, threshold=9,
@@ -392,6 +427,22 @@ class TestSplitPlayer:
                             lambda *args: [((0,), (2,)), ((1,), (3,))])
         with pytest.raises(StructuralError, match="player 6 "):
             split_player(tsg, pid)
+
+    def test_dear_multi_sub_player_is_refused_unchanged(self, monkeypatch):
+        # Congestion 3, 3, 2, 2.  Player 8 pays 3 + 3 and would pay 3 + 3 on
+        # {2, 3}: stable.  A faulty partition keeps it whole, as a multi
+        # sub-player costing 6, above joining either tracked resource (3).
+        tsg = TwoStrategyGame(num_resources=4, degree=1, threshold=1,
+                              eq_bottleneck=3, opt_bottleneck=1)
+        for r in (0, 0, 1, 1, 2, 2, 3, 3):
+            tsg.add_player([r], [r])
+        pid = tsg.add_player([0, 1], [2, 3])
+        tsg.check_equilibrium()
+        monkeypatch.setattr(transform, "greedy_cover_pairs", lambda *args: [((0, 1), (2, 3))])
+        before = workspace_state(tsg)
+        with pytest.raises(StructuralError, match=f"multi sub-player 9 of {pid} costs 6, above 3"):
+            split_player(tsg, pid)
+        assert workspace_state(tsg) == before
 
 
 class TestEliminate:
@@ -479,6 +530,26 @@ class TestEliminate:
         eliminate_high_congestion(tsg, 3, mover)
         assert tsg.players[mover].opt_strategy == (3,)
         assert [tsg.players[q].opt_strategy for q in hosts] == [(1,), (0,), (0,), (0,)]
+        tsg.check_equilibrium()
+
+    def test_donor_offer_below_the_movers_cost_is_passed_over(self):
+        # Degree 1, level 3: resource 0 at congestion 6.  The mover plays
+        # resource 1 at congestion 5 and is tracked to 0.  Host 0 tracks 2, 3
+        # and 4 at congestion 3 and offers one of them, worth 4 < 5; host 1
+        # tracks 5 and 6 at congestion 2, below the level, and donates both,
+        # worth 3 + 3.  The other hosts are tracked to 0.
+        tsg = TwoStrategyGame(num_resources=7, degree=1, threshold=2,
+                              eq_bottleneck=6, opt_bottleneck=1, trace=[])
+        hosts = [tsg.add_player([0], opt) for opt in ([2, 3, 4], [5, 6], [0], [0], [0], [0])]
+        mover = tsg.add_player([1], [0])
+        for r, c in ((1, 5), (2, 3), (3, 3), (4, 3), (5, 2), (6, 2)):
+            while tsg._eq_cong[r] < c:
+                tsg.add_player([r], [r])
+        tsg.check_equilibrium()
+        eliminate_high_congestion(tsg, 3, mover)
+        assert tsg.trace == [{"op": "eliminate", "player": mover, "donor": hosts[1],
+                              "resource": 0, "new_opt": [5, 6]}]
+        assert [tsg.players[q].opt_strategy for q in hosts[:2]] == [(2, 3, 4), (0,)]
         tsg.check_equilibrium()
 
     def test_no_usable_donor_is_refused(self):
@@ -681,6 +752,8 @@ class TestReplace:
     @pytest.mark.parametrize("call", [
         pytest.param(lambda tsg: tsg.replace(7, [([0], [2])]), id="replace"),
         pytest.param(lambda tsg: tsg.retrack(7, [2]), id="retrack"),
+        pytest.param(lambda tsg: split_player(tsg, 7), id="split_player"),
+        pytest.param(lambda tsg: eliminate_high_congestion(tsg, 1, 7), id="eliminate"),
     ])
     def test_unknown_player_is_refused_unchanged(self, call):
         tsg, _ = self._workspace()
@@ -750,6 +823,21 @@ class TestRangeCheck:
         before = workspace_state(tsg)
         with pytest.raises(StructuralError,
                            match=rf"strategy \[{bad}\] of player {who} repeats a resource"):
+            call(tsg, p)
+        assert workspace_state(tsg) == before
+
+    # An empty tracked strategy would price a switch at 0 and leave a player
+    # tracked to nothing; every player keeps both of its strategies.
+    @pytest.mark.parametrize("call, who", [
+        pytest.param(lambda tsg, p: tsg.add_player([2], []), 3, id="add_player"),
+        pytest.param(lambda tsg, p: tsg.replace(p, [([0], [2]), ([1], [])]), 0,
+                     id="replace_tracked_part"),
+        pytest.param(lambda tsg, p: tsg.retrack(1, []), 1, id="retrack"),
+    ])
+    def test_an_empty_tracked_strategy_is_refused(self, call, who):
+        tsg, p = self._workspace()
+        before = workspace_state(tsg)
+        with pytest.raises(StructuralError, match=f"a strategy of player {who} is empty"):
             call(tsg, p)
         assert workspace_state(tsg) == before
 
@@ -1056,16 +1144,16 @@ COVER_GUARDS = ("ran out of tracked resources",)
 
 def test_every_cover_clean_and_eliminate_statement_runs_in_a_pinned_case(monkeypatch):
     """Under ``sys.settrace``, as above: every statement of
-    ``greedy_cover_pairs``, ``clean_game`` and ``eliminate_high_congestion``
-    runs in the golden transform cases and the workspace cases of their test
-    classes, but the raise in ``COVER_GUARDS``.  The cover walk runs out only
+    ``greedy_cover_pairs``, ``split_player``, ``clean_game`` and
+    ``eliminate_high_congestion`` runs in the golden transform cases and the
+    workspace cases of their test classes, but the raise in ``COVER_GUARDS``.  The cover walk runs out only
     through a fault of the cover construction (``RUNS_OUT`` is one such
     player, and a weak Nash game can hold it), so no pinned case takes it as
     intended output; ``test_cover_pairs_match_the_use_counting_walk`` runs it
     against the reference walk."""
     from test_golden import CASES, run_case
 
-    funcs = (greedy_cover_pairs, clean_game, eliminate_high_congestion)
+    funcs = (greedy_cover_pairs, split_player, clean_game, eliminate_high_congestion)
     codes = {func.__code__ for func in funcs}
     ran = set()
 
@@ -1078,6 +1166,7 @@ def test_every_cover_clean_and_eliminate_statement_runs_in_a_pinned_case(monkeyp
         return local if frame.f_code in codes else None
 
     covers, clean, eliminate = TestGreedyCoverPairs(), TestClean(), TestEliminate()
+    split = TestSplitPlayer()
     previous = sys.gettrace()
     sys.settrace(tracer)
     try:
@@ -1087,14 +1176,18 @@ def test_every_cover_clean_and_eliminate_statement_runs_in_a_pinned_case(monkeyp
         for case in (covers.test_cover_dominates_absorbed_congestions,
                      covers.test_equilibrium_violation_rejected,
                      covers.test_empty_played_strategy_rejected,
+                     covers.test_partition_requires_clean_player,
+                     covers.test_split_requires_multi_player,
                      clean.test_overlap_split_preserves_congestion,
                      clean.test_contained_strategy_keeps_tracked_load,
                      eliminate.test_donor_tracked_to_the_resource_is_passed_over,
                      eliminate.test_multi_mover_passes_over_a_donor_on_its_own_resources,
+                     eliminate.test_donor_offer_below_the_movers_cost_is_passed_over,
                      eliminate.test_no_usable_donor_is_refused):
             case()
         for case in (clean.test_raised_tracked_load_is_caught,
-                     eliminate.test_raised_tracked_load_is_caught):
+                     eliminate.test_raised_tracked_load_is_caught,
+                     split.test_dear_multi_sub_player_is_refused_unchanged):
             case(monkeypatch)
             monkeypatch.undo()
     finally:
@@ -1188,6 +1281,7 @@ class TestVerifyDomination:
         ("tracked_id_past_range", "resources_ok"),
         ("tracked_id_negative", "resources_ok"),
         ("hub_retracked_to_idle", "equilibrium_ok"),
+        ("tracked_emptied", "equilibrium_ok"),
         ("tracked_stacked", "within_factor_seven"),
     ])
     def test_tampered_game_fails(self, case, flag):
@@ -1224,11 +1318,17 @@ class TestVerifyDomination:
 def tamper(case, game, tsg):
     """Break one domination flag of a transformed roster.  The player edited
     is the lowest-id singleton on the equilibrium bottleneck resource (the
-    hub); the idle resource is the lowest one that no one plays.  Tracked
-    strategies are set directly, since ``retrack`` refuses the broken ones."""
-    cong = tsg.eq_congestion()
+    hub), or for ``tracked_emptied`` the lowest-id player tracked to no
+    resource at the tracked maximum, so that the maximum stays; the idle
+    resource is the lowest one that no one plays.  Tracked strategies are
+    set directly, since ``retrack`` refuses the broken ones."""
+    cong, tracked = tsg.eq_congestion(), tsg.opt_congestion()
     hub, idle = cong.index(tsg.eq_bottleneck), cong.index(0)
     pid = tsg.singles_on(hub)[0]
+    if case == "tracked_emptied":
+        top = max(tracked.values())
+        pid = min(q for q, p in tsg.players.items()
+                  if max(tracked[r] for r in p.opt_strategy) < top)
     player = tsg.players[pid]
     if case == "eq_rewritten_in_place":  # past add_player and replace
         player.eq_strategy = (idle,)
@@ -1238,6 +1338,8 @@ def tamper(case, game, tsg):
         player.opt_strategy = (-1,) + player.opt_strategy
     elif case == "hub_retracked_to_idle":  # a detour at congestion 1 beats the hub
         player.opt_strategy = (idle,)
+    elif case == "tracked_emptied":  # a switch to nothing prices 0, below any cost
+        player.opt_strategy = ()
     elif case == "tracked_stacked":  # everyone tracked to the hub: stable, but 7x exceeded
         for qid in sorted(tsg.players):
             tsg.retrack(qid, (hub,))
