@@ -16,16 +16,9 @@ from itertools import accumulate
 from typing import Any, Sequence
 
 from . import kernels
-from .errors import (InvalidProfileError, NonConvergenceError, StateSpaceTooLargeError,
-                     StructuralError, UsageError)
-from .game_core import (
-    Game,
-    Profile,
-    _congestion,
-    power_table,
-    switch_cost,
-    validate_profile,
-)
+from .errors import NonConvergenceError, StateSpaceTooLargeError, StructuralError, UsageError
+from .game_core import (Game, Profile, _congestion, power_table, switch_cost, validate_player,
+                        validate_profile)
 
 DEFAULT_STATE_CAP = 10_000_000
 
@@ -70,8 +63,7 @@ def _costs(game: Game, profile: Sequence[int], player: int, counts) -> list[int]
 def best_response(game: Game, profile: Sequence[int], player: int) -> int:
     """Index of a cost-minimizing strategy, others fixed; ties -> lowest index."""
     profile = validate_profile(game, profile)
-    if not 0 <= player < game.num_players:
-        raise InvalidProfileError(f"no player {player} in a {game.num_players}-player game")
+    player = validate_player(game, player)
     costs = _costs(game, profile, player, _congestion(game, profile))
     return costs.index(min(costs))
 

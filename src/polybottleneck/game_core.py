@@ -24,6 +24,11 @@ Profile = tuple[int, ...]
 CongestionVector = list[int]
 
 
+def _integer(x: Any) -> bool:
+    """A plain or numpy integer; a bool is neither."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _normalize_strategy(
     raw: Iterable[int], num_resources: int, player: int, index: int
 ) -> tuple[int, ...]:
@@ -39,7 +44,7 @@ def _normalize_strategy(
     plain = True
     for r in resources:
         if type(r) is not int:
-            if not isinstance(r, (int, np.integer)) or isinstance(r, bool):
+            if not _integer(r):
                 raise error(f"resource id {r!r} is not an integer")
             plain = False
         if not 0 <= r < num_resources:
@@ -51,7 +56,7 @@ def _normalize_strategy(
 
 def _positive(name: str, value: Any) -> int:
     """A game's ``num_resources`` or ``degree`` as a plain int >= 1."""
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+    if not _integer(value):
         raise GameFormatError(f"field {name!r} must be an integer, got {value!r}")
     if value < 1:
         raise GameFormatError(f"{name} must be >= 1, got {value}")
@@ -115,8 +120,7 @@ def validate_profile(game: Game, profile: Sequence[int]) -> Profile:
             f"profile has {len(profile)} entries for {game.num_players} players"
         )
     for i, choice in enumerate(profile):
-        if type(choice) is not int and (
-                not isinstance(choice, (int, np.integer)) or isinstance(choice, bool)):
+        if type(choice) is not int and not _integer(choice):
             raise InvalidProfileError(f"player {i}: choice {choice!r} is not an integer")
         if not 0 <= choice < len(game.strategies[i]):
             raise InvalidProfileError(
@@ -124,6 +128,13 @@ def validate_profile(game: Game, profile: Sequence[int]) -> Profile:
                 f"[0, {len(game.strategies[i])})"
             )
     return tuple(map(int, profile))
+
+
+def validate_player(game: Game, player: int) -> int:
+    """The id of one of the game's players, as a plain int."""
+    if not (_integer(player) and 0 <= player < game.num_players):
+        raise InvalidProfileError(f"no player {player!r} in a {game.num_players}-player game")
+    return int(player)
 
 
 def congestion_of(game: Game, profile: Sequence[int]) -> CongestionVector:
@@ -216,8 +227,7 @@ def switch_cost(
 def player_cost(game: Game, profile: Sequence[int], player: int) -> int:
     """Sum of delays over the player's chosen resources."""
     profile = validate_profile(game, profile)
-    if not 0 <= player < game.num_players:
-        raise InvalidProfileError(f"no player {player} in a {game.num_players}-player game")
+    player = validate_player(game, player)
     chosen = game.chosen(profile, player)
     return switch_cost(_congestion(game, profile), chosen, chosen, game.degree)
 

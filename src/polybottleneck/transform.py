@@ -95,8 +95,6 @@ class TwoStrategyGame:
         congestion, so it checks no one: ``check_equilibrium`` does."""
         eq = tuple(sorted(eq_strategy))
         opt = tuple(sorted(opt_strategy))
-        if not eq:
-            raise StructuralError("refusing to add a player with an empty equilibrium strategy")
         self._check_ids(self._next_id, (eq, opt))
         for r in eq:
             self._eq_cong[r] += 1
@@ -343,20 +341,21 @@ def greedy_cover_pairs(
     """Pair equilibrium resources with covering tracked resources.
 
     ``played`` and ``tracked`` are a player's two disjoint strategies, priced
-    on any ``congestion`` that ``switch_cost`` reads, with each played
-    resource at 1 or more (its player's own use).  Requires the
-    equilibrium inequality sum((c+1)**M over tracked) >= sum(c**M over
-    played); returns the sorted (played, tracked) parts that ``replace``
-    takes, where the tracked side always covers the played side at +1
-    congestion, the played sides partition the strategy, every pair has a
-    singleton side, consecutive tracked sides share at most one boundary
-    resource, and no tracked resource appears in more than two pairs.
+    on any ``congestion`` that ``switch_cost`` reads; a played resource below
+    1 (its player's own use) is refused.  Requires the equilibrium inequality
+    sum((c+1)**M over tracked) >= sum(c**M over played); returns the sorted
+    (played, tracked) parts that ``replace`` takes, where the tracked side
+    always covers the played side at +1 congestion, the played sides
+    partition the strategy, every pair has a singleton side, consecutive
+    tracked sides share at most one boundary resource, and no tracked
+    resource appears in more than two pairs.
     """
     if not played:
         raise PreconditionError("nothing to partition: empty equilibrium strategy")
     eq = sorted(played, key=lambda r: (-congestion[r], r))
     opt = sorted(tracked, key=lambda r: (congestion[r], r))
-    m = len(opt)
+    if congestion[eq[-1]] < 1:
+        raise PreconditionError(f"played resource {eq[-1]} is at congestion {congestion[eq[-1]]}")
     needs = [switch_cost(congestion, (r,), (r,), degree) for r in eq]
     values = [switch_cost(congestion, (), (r,), degree) for r in opt]
     if sum(values) < sum(needs):
@@ -365,21 +364,19 @@ def greedy_cover_pairs(
     pairs: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     # Each pair covers opt[first..j].  opt[j] is carried to the next pair
     # (``shared``), unless this pair took it alone and it was already carried.
+    # Needs descend and values ascend, so the pairs are runs, then one-cover
+    # pairs packed next-fit, and ``values[j]`` never reads past the end.
     j, shared, i = 0, False, 0
     while i < len(eq):
-        group, need, first, total = [eq[i]], needs[i], j, 0
-        for j in range(first, m):
+        group, need, first, total = [eq[i]], needs[i], j, values[j]
+        while total < need:
+            j += 1
             total += values[j]
-            if total >= need:
-                break
-        else:
-            raise StructuralError("ran out of tracked resources while forming cover pairs",
-                                  state={"eq": eq, "opt": opt, "pairs": pairs})
         i += 1
-        if first == j == m - 1:
-            # Last tracked resource: absorb further played resources while the
-            # single cover still dominates them.  A played resource above the
-            # cover's congestion c needs at least (c+1)**M, the whole capacity.
+        if first == j:
+            # One cover: absorb further played resources while it still
+            # dominates them.  A played resource above the cover's congestion
+            # c needs at least (c+1)**M, the whole capacity.
             while i < len(eq) and need + needs[i] <= total:
                 group.append(eq[i])
                 need += needs[i]

@@ -65,6 +65,17 @@ class TestBestResponse:
         with pytest.raises(InvalidProfileError, match=f"no player {player} in a 2-player game"):
             best_response(game, (1, 0), player)
 
+    @pytest.mark.parametrize("player", [True, 1.0])
+    def test_player_that_is_not_an_integer_is_refused(self, player):
+        # True would answer for player 1, and 1.0 would index with a float.
+        game = Game.build(2, 1, [[[0], [1]], [[0]]])
+        with pytest.raises(InvalidProfileError, match=f"no player {player!r} in a 2-player game"):
+            best_response(game, (1, 0), player)
+
+    def test_numpy_player_id_is_taken(self):
+        game = Game.build(2, 1, [[[0], [1]], [[0]]])
+        assert best_response(game, (0, 0), np.int64(0)) == 1
+
     def test_family_direct_state_is_retained(self):
         inst = lower_bound.generate(4, 1)
         for i in range(4):

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -205,6 +206,19 @@ class TestPlayerCost:
         game = Game.build(1, 1, [[[0]]])
         with pytest.raises(InvalidProfileError):
             player_cost(game, (0,), 3)
+
+    @pytest.mark.parametrize("player", [True, 1.0, "1", None])
+    def test_player_that_is_not_an_integer_rejected(self, player):
+        # Not taken as an id: True would price player 1, and 1.0 would index
+        # the profile with a float.
+        game = Game.build(2, 1, [[[0], [1]], [[0]]])
+        with pytest.raises(InvalidProfileError,
+                           match=re.escape(f"no player {player!r} in a 2-player game")):
+            player_cost(game, (0, 0), player)
+
+    def test_numpy_player_id_is_taken(self):
+        game = Game.build(2, 1, [[[0], [1]], [[0]]])
+        assert player_cost(game, (0, 0), np.int64(1)) == player_cost(game, (0, 0), 1) == 2
 
 
 class TestProperties:

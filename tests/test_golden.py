@@ -38,6 +38,7 @@ CASES = {
     "transform_clean_leftover": ["transform", "@clean_leftover.json", "--trace"],
     "transform_eliminate_probe": ["transform", "@eliminate_probe.json", "--trace"],
     "transform_survivor_spread": ["transform", "@survivor_spread.json", "--trace"],
+    "transform_runs_out_d1": ["transform", "@runs_out_d1.json", "--trace"],
     "expansion_tight6": ["expansion", "@tight6.json"],
     "expansion_tight6_first": ["expansion", "@tight6.json", "--transform-first"],
     "expansion_forced_d1": ["expansion", "@forced_d1.json"],
@@ -137,6 +138,19 @@ def regenerate() -> None:
     players += [[[0], [next(fresh) for _ in range(7)]] for _ in range(7)]
     players += [[[1], [next(fresh) for _ in range(5)]] for _ in range(4)]
     save_game(Game.build(72, 1, players), str(GOLDEN / "survivor_spread.json"))
+    # Player 0 plays its own ids 4-18 or the covers 0-2, as ``RUNS_OUT`` in
+    # test_transform.py: at level 14 its need of 15 meets three covers worth
+    # 5 each.  Four players play each cover or 4 fresh ids, and 15 play the
+    # hub, 3, or 15 ids: the first two detour through player 0's ids, so no
+    # optimum at bottleneck 1 leaves player 0 on them, the others through
+    # fresh ids.
+    fresh = iter(range(19, 262))
+    own = list(range(4, 19))
+    players = [[own, [0, 1, 2]]]
+    players += [[[c], [next(fresh) for _ in range(4)]] for c in range(3) for _ in range(4)]
+    players += [[[3], own] for _ in range(2)]
+    players += [[[3], [next(fresh) for _ in range(15)]] for _ in range(13)]
+    save_game(Game.build(262, 1, players), str(GOLDEN / "runs_out_d1.json"))
     codes = {}
     for name, argv in sorted(CASES.items()):
         codes[name], out, err = run_case(argv)

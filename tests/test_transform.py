@@ -3,6 +3,8 @@ import copy
 import inspect
 import sys
 import textwrap
+from collections import Counter
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -254,12 +256,12 @@ class TestGreedyCoverPairs:
         assert pairs == [((10, 11), (20,))]
 
     def test_cover_dominates_absorbed_congestions(self):
-        # Resource 20 covers 10 and then 11; the last cover, 21 at congestion
-        # 5 (capacity 6), absorbs 12, 13 and 14 (mass 6) and stops at 15 on
-        # mass alone, so 15 takes 21 a second time.
+        # Resource 20 at congestion 4 (capacity 5) absorbs 10 and 11 (mass 4)
+        # and stops at 12 on mass alone, so 12 and 13 take 20 a second time;
+        # then 21 at congestion 5 (capacity 6) absorbs 14 and 15.
         congestion = {10: 2, 11: 2, 12: 2, 13: 2, 14: 2, 15: 1, 20: 4, 21: 5}
         pairs = greedy_cover_pairs(range(10, 16), [20, 21], congestion, 1)
-        assert pairs == [((10,), (20,)), ((11,), (20,)), ((12, 13, 14), (21,)), ((15,), (21,))]
+        assert pairs == [((10, 11), (20,)), ((12, 13), (20,)), ((14, 15), (21,))]
         for played, tracked in pairs:
             assert all(congestion[r] <= congestion[tracked[0]] for r in played)
 
@@ -270,6 +272,13 @@ class TestGreedyCoverPairs:
     def test_empty_played_strategy_rejected(self):
         with pytest.raises(PreconditionError, match="nothing to partition"):
             greedy_cover_pairs([], [20], {20: 1}, 1)
+
+    @pytest.mark.parametrize("played, tracked", [([11], []), ([10, 11], [20])])
+    def test_played_resource_below_its_own_use_rejected(self, played, tracked):
+        # Outside the domain, refused on entry: 11 alone against no tracked
+        # id needs 0 of 0, and the walk would index past the values.
+        with pytest.raises(PreconditionError, match="played resource 11 is at congestion 0"):
+            greedy_cover_pairs(played, tracked, {10: 1, 11: 0, 20: 1}, 1)
 
     def test_partition_requires_clean_player(self):
         tsg = TwoStrategyGame(num_resources=2, degree=1, threshold=9,
@@ -289,7 +298,8 @@ class TestGreedyCoverPairs:
 def reference_cover_pairs(played, tracked, congestion, degree):
     """The cover walk that ``greedy_cover_pairs`` replaced: it counts each
     tracked resource's uses, and reads the count at each pair's boundary and
-    to find the leftovers."""
+    to find the leftovers.  A pair on one tracked resource absorbs further
+    played resources while that resource covers them."""
     if not played:
         raise PreconditionError("nothing to partition: empty equilibrium strategy")
     eq = sorted(played, key=lambda r: (-congestion[r], r))
@@ -322,7 +332,7 @@ def reference_cover_pairs(played, tracked, congestion, degree):
                 q += 1
         i += 1
         start = boundary if uses[boundary] < 2 else boundary + 1
-        if len(cover) == 1 and boundary == m - 1:
+        if len(cover) == 1:
             capacity = values[boundary]
             group_mass = need
             while i < len(eq) and group_mass + needs[i] <= capacity:
@@ -355,8 +365,9 @@ def cover_outcome(cover, args):
         return type(e), str(e), getattr(e, "state", None)
 
 
-# Fifteen played ids at congestion 1 against three tracked at 4, degree 1: the
-# walk runs out although the covers are worth 15, the player's whole cost.
+# Fifteen played ids at congestion 1 against three tracked at 4, degree 1.
+# The covers are worth 15, the player's whole cost; a walk that lets a single
+# cover absorb only at the last tracked id runs out after 14 played ids.
 RUNS_OUT = (range(15), range(15, 18), {**dict.fromkeys(range(15), 1), 15: 4, 16: 4, 17: 4}, 1)
 
 
@@ -368,8 +379,40 @@ def test_cover_pairs_match_the_use_counting_walk(args):
     assert cover_outcome(greedy_cover_pairs, args) == cover_outcome(reference_cover_pairs, args)
 
 
-@pytest.mark.xfail(strict=True, raises=StructuralError,
-                   reason="the cover walk runs out on the RUNS_OUT player; the mend changes output")
+@st.composite
+def crowded_cover_inputs(draw):
+    """The shape of ``RUNS_OUT``: many played ids at congestion 1 or 2
+    against one to five tracked ids at congestion up to 9, degree 1 or 2,
+    with the played cost within a few units of the tracked value, on either
+    side of the equilibrium inequality."""
+    degree = draw(st.integers(1, 2))
+    tracked = draw(st.lists(st.integers(0, 9), min_size=1, max_size=5))
+    value = sum((c + 1) ** degree for c in tracked)
+    twos = draw(st.integers(0, value // 2**degree))
+    ones = max(value - twos * 2**degree - draw(st.integers(-2, 3)), int(twos == 0))
+    congestion = dict(enumerate([2] * twos + [1] * ones + tracked))
+    return range(twos + ones), range(twos + ones, len(congestion)), congestion, degree
+
+
+@settings(max_examples=300, deadline=None)
+@given(crowded_cover_inputs())
+@example(RUNS_OUT)
+def test_cover_pairs_keep_their_contract(args):
+    played, tracked, congestion, degree = args
+    if sum(switch_cost(congestion, (), (r,), degree) for r in tracked) < switch_cost(
+            congestion, played, played, degree):
+        with pytest.raises(PreconditionError, match="not in equilibrium"):
+            greedy_cover_pairs(*args)
+        return
+    pairs = greedy_cover_pairs(*args)
+    for eq, opt in pairs:
+        assert switch_cost(congestion, (), opt, degree) >= switch_cost(congestion, eq, eq, degree)
+        assert 1 in (len(eq), len(opt)) and set(opt) <= set(tracked)
+    assert sorted(chain.from_iterable(eq for eq, _ in pairs)) == list(played)
+    assert max(Counter(chain.from_iterable(opt for _, opt in pairs)).values()) <= 2
+    assert all(len(set(a) & set(b)) <= 1 for (_, a), (_, b) in zip(pairs, pairs[1:]))
+
+
 def test_weak_nash_state_holding_the_runs_out_player_transforms():
     # Degree 1, 28 players on 292 resources.  The RUNS_OUT player plays 15
     # private ids or the three cover ids; four players sit on each cover id,
@@ -388,7 +431,8 @@ def test_weak_nash_state_holding_the_runs_out_player_transforms():
     game = Game.build(292, 1, players)
     nash, detours = (0,) * 28, (1,) * 28
     assert equilibria.is_nash(game, nash)
-    transform_to_singletons(game, nash, detours)
+    tsg = transform_to_singletons(game, nash, detours)
+    assert verify_domination(game, nash, tsg).all_ok
 
 
 class TestSplitPlayer:
@@ -794,7 +838,7 @@ class TestRangeCheck:
     def test_add_player_refuses_an_empty_played_strategy(self):
         tsg, _ = self._workspace()
         before = workspace_state(tsg)
-        with pytest.raises(StructuralError, match="empty equilibrium strategy"):
+        with pytest.raises(StructuralError, match="a strategy of player 3 is empty"):
             tsg.add_player([], [0])
         assert workspace_state(tsg) == before
 
@@ -948,16 +992,17 @@ def test_only_check_equilibrium_decides_stability():
     assert not found, found
 
 
-def mark_sub_player_workspace(requeue):
-    """Degree 2, level 5.  The locked player plays resource 0 (congestion 3)
-    and 27 private ids and is tracked to resource 1 (congestion 5).  The
-    first singleton of resource 1, the round's donor, is tracked to a fresh
-    id and the hub, resource 2 at congestion 7.  The round leaves a multi
-    sub-player on 26 private ids, costing 26 > 25, tracked to the hub.  With
-    ``requeue`` the first hub host tracks resource 1 (and 13 fresh ids), so
-    the sub-player is eliminated to resource 1 and queued again; otherwise
-    it tracks 49 fresh ids, all below the level, and the sub-player is split.
-    Returns the workspace and the locked player's id."""
+def above_level_workspace(requeue):
+    """Degree 2, level 5.  A multi player on 26 private ids, costing 26 > 25,
+    is tracked to the hub, resource 2 at congestion 7.  The first singleton
+    of resource 1 (congestion 5), the marking round's donor, is tracked to a
+    fresh id and the hub.  With ``requeue`` the first hub host tracks
+    resource 1 (and 13 fresh ids), so the player is eliminated to resource 1
+    and queued; otherwise it tracks 49 fresh ids, all below the level, and
+    the player is split.  ``run_phase`` never hands ``_erase_above`` such a
+    player: a band survivor is eliminated before, and a round's sub-players
+    are covered by the level resource the round's player was queued on,
+    which absorbs every need left.  Returns the workspace and the player."""
     tsg = TwoStrategyGame(num_resources=200, degree=2, threshold=4, eq_bottleneck=7,
                           opt_bottleneck=1, trace=[])
     fresh = iter(range(3, 200))
@@ -965,17 +1010,15 @@ def mark_sub_player_workspace(requeue):
     def take(k):
         return [next(fresh) for _ in range(k)]
 
-    for _ in range(2):
-        tsg.add_player([0], [0])
     tsg.add_player([1], [next(fresh), 2])
     for _ in range(4):
         tsg.add_player([1], take(25))
     tsg.add_player([2], [1, *take(13)] if requeue else take(49))
     for _ in range(6):
         tsg.add_player([2], [2])
-    locked = tsg.add_player([0, *take(27)], [1])
+    pid = tsg.add_player(take(26), [2])
     tsg.check_equilibrium()
-    return tsg, locked
+    return tsg, pid
 
 
 def unsplit_survivor_workspace():
@@ -1041,29 +1084,21 @@ class TestRunPhase:
 
     @pytest.mark.parametrize("requeue", [True, False])
     def test_mark_round_sub_player_above_the_level(self, requeue):
-        tsg, locked = mark_sub_player_workspace(requeue)
-        phase = run_phase(tsg, 5)
+        tsg, pid = above_level_workspace(requeue)
+        phase = transform.PhaseState(level=5)
+        transform._erase_above(tsg, phase, [pid])
         ops = [line["op"] for line in tsg.trace]
-        # The band split is one part; the survivor is locked on resource 1.
-        (survivor,) = tsg.trace[0]["new_ids"]
-        assert tsg.trace[0]["player"] == locked
-        mark = tsg.trace[2]
-        assert (mark["op"], mark["player"], mark["resource"]) == ("mark", survivor, 1)
-        *_, (sub_eq, sub_opt) = tsg.trace[1]["pairs"]
-        sub = mark["new_ids"][-1]
-        assert len(sub_eq) == 26 and sub_opt == [2]
-        eliminate = tsg.trace[3]
-        assert (eliminate["op"], eliminate["player"], eliminate["resource"]) == ("eliminate", sub, 2)
+        eliminate = tsg.trace[0]
+        assert (eliminate["op"], eliminate["player"], eliminate["resource"]) == ("eliminate", pid, 2)
         if requeue:
             assert eliminate["new_opt"] == [1]
-            assert ops == ["split", "split", "mark", "eliminate", "split", "mark", "phase"]
-            assert tsg.trace[5]["player"] == sub
-            assert (phase.splits, phase.markings) == (3, 2)
+            assert ops == ["eliminate", "split", "mark"]
+            assert (tsg.trace[2]["player"], tsg.trace[2]["resource"]) == (pid, 1)
+            assert (phase.splits, phase.markings) == (1, 1)
         else:
             assert all(tsg._eq_cong[r] < 5 for r in eliminate["new_opt"])
-            assert ops == ["split", "split", "mark", "eliminate", "split", "phase"]
-            assert tsg.trace[4]["player"] == sub
-            assert (phase.splits, phase.markings) == (3, 1)
+            assert ops == ["eliminate", "split"]
+            assert (phase.splits, phase.markings) == (1, 0)
         assert all(tsg.cost(pid) <= 25 for pid in tsg.multi_ids())
         tsg.check_equilibrium()
         assert stable_from_scratch(tsg)
@@ -1129,7 +1164,8 @@ def test_every_phase_statement_runs_in_a_pinned_case(monkeypatch):
             if name.startswith("transform_"):
                 assert run_case(CASES[name])[0] == 0, name
         for requeue in (True, False):
-            run_phase(mark_sub_player_workspace(requeue)[0], 5)
+            tsg, pid = above_level_workspace(requeue)
+            transform._erase_above(tsg, transform.PhaseState(level=5), [pid])
         monkeypatch.setattr(transform, "split_player", lambda tsg, pid: [pid])
         with pytest.raises(StructuralError, match="band survivor"):
             run_phase(unsplit_survivor_workspace()[0], 4)
@@ -1139,18 +1175,15 @@ def test_every_phase_statement_runs_in_a_pinned_case(monkeypatch):
     assert not [text for line, text in sorted(statements.items()) if line not in ran]
 
 
-COVER_GUARDS = ("ran out of tracked resources",)
+COVER_GUARDS = ()
 
 
 def test_every_cover_clean_and_eliminate_statement_runs_in_a_pinned_case(monkeypatch):
     """Under ``sys.settrace``, as above: every statement of
     ``greedy_cover_pairs``, ``split_player``, ``clean_game`` and
     ``eliminate_high_congestion`` runs in the golden transform cases and the
-    workspace cases of their test classes, but the raise in ``COVER_GUARDS``.  The cover walk runs out only
-    through a fault of the cover construction (``RUNS_OUT`` is one such
-    player, and a weak Nash game can hold it), so no pinned case takes it as
-    intended output; ``test_cover_pairs_match_the_use_counting_walk`` runs it
-    against the reference walk."""
+    workspace cases of their test classes.  ``COVER_GUARDS`` is empty: the
+    cover walk has no raise that only a fault could reach."""
     from test_golden import CASES, run_case
 
     funcs = (greedy_cover_pairs, split_player, clean_game, eliminate_high_congestion)
@@ -1176,6 +1209,7 @@ def test_every_cover_clean_and_eliminate_statement_runs_in_a_pinned_case(monkeyp
         for case in (covers.test_cover_dominates_absorbed_congestions,
                      covers.test_equilibrium_violation_rejected,
                      covers.test_empty_played_strategy_rejected,
+                     lambda: covers.test_played_resource_below_its_own_use_rejected([11], []),
                      covers.test_partition_requires_clean_player,
                      covers.test_split_requires_multi_player,
                      clean.test_overlap_split_preserves_congestion,
