@@ -187,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     cap_help = ("cap on the orbits scanned, the profiles up to swaps of "
-                "interchangeable players (default 10**7)")
+                f"interchangeable players (default {equilibria.DEFAULT_STATE_CAP:,})")
 
     p = sub.add_parser("analyze", help="equilibria and price of anarchy of a game file")
     p.add_argument("game", help="path to a game JSON file")

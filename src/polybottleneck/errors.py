@@ -31,11 +31,7 @@ class PreconditionError(PolyBottleneckError):
 
 
 class StructuralError(PolyBottleneckError):
-    """An internal invariant broke; carries diagnostics."""
-
-    def __init__(self, message: str, state: dict | None = None):
-        super().__init__(message)
-        self.state = state or {}
+    """An internal invariant broke."""
 
 
 class DominationError(PolyBottleneckError):

@@ -252,11 +252,11 @@ def game_from_dict(data: Any) -> Game:
         if key not in data:
             raise GameFormatError(f"missing required field {key!r}")
     players = data["players"]
-    if not isinstance(players, list) or not players:
-        raise GameFormatError("field 'players' must be a non-empty list")
+    if not isinstance(players, list):
+        raise GameFormatError("field 'players' must be a list")
     for i, strat_set in enumerate(players):
-        if not isinstance(strat_set, list) or not strat_set:
-            raise GameFormatError(f"player {i}: strategy set must be a non-empty list")
+        if not isinstance(strat_set, list):
+            raise GameFormatError(f"player {i}: strategy set must be a list")
         for s, strategy in enumerate(strat_set):
             if not isinstance(strategy, list):
                 raise GameFormatError(f"player {i} strategy {s}: must be a list of resource ids")

@@ -112,7 +112,7 @@ class TwoStrategyGame:
                 sorted(chain.from_iterable(eq for eq, _ in parts)) != list(old.eq_strategy)):
             raise StructuralError(
                 f"parts {[list(eq) for eq, _ in parts]} do not partition the strategy "
-                f"{list(old.eq_strategy)} of player {pid}", state=self.to_dict())
+                f"{list(old.eq_strategy)} of player {pid}")
         self._check_ids(pid, (opt for _, opt in parts))
         for nid, (eq, opt) in enumerate(parts, start=self._next_id):
             self._check(nid, eq, opt)
@@ -143,7 +143,7 @@ class TwoStrategyGame:
     def _player(self, pid: int) -> TwoStrategyPlayer:
         """The roster entry of ``pid``, refusing an id that is not in it."""
         if pid not in self.players:
-            raise StructuralError(f"player {pid} is not in the roster", state=self.to_dict())
+            raise StructuralError(f"player {pid} is not in the roster")
         return self.players[pid]
 
     def _check_ids(self, pid: int, strategies: Iterable[tuple[int, ...]]) -> None:
@@ -151,13 +151,12 @@ class TwoStrategyGame:
         ``[0, num_resources)``: every strategy entering the workspace comes here."""
         for s in strategies:
             if not s:
-                raise StructuralError(f"a strategy of player {pid} is empty", state=self.to_dict())
+                raise StructuralError(f"a strategy of player {pid} is empty")
             if not (0 <= s[0] and s[-1] < self.num_resources):
                 raise StructuralError(f"strategy {list(s)} of player {pid} leaves the resources "
-                                      f"[0, {self.num_resources})", state=self.to_dict())
+                                      f"[0, {self.num_resources})")
             if len(set(s)) < len(s):
-                raise StructuralError(f"strategy {list(s)} of player {pid} repeats a resource",
-                                      state=self.to_dict())
+                raise StructuralError(f"strategy {list(s)} of player {pid} repeats a resource")
 
     def _played(self) -> set[int]:
         """Resources someone plays: exactly those at congestion 1 or more."""
@@ -216,8 +215,7 @@ class TwoStrategyGame:
     def _check(self, pid: int, eq: tuple[int, ...], opt: tuple[int, ...]) -> None:
         """Raise unless player ``pid`` would be in equilibrium on the pair."""
         if not self.in_equilibrium(eq, opt):
-            raise StructuralError(f"player {pid} is no longer in equilibrium",
-                                  state=self.to_dict())
+            raise StructuralError(f"player {pid} is no longer in equilibrium")
 
     # -- views ----------------------------------------------------------------
 
@@ -324,7 +322,7 @@ def clean_game(tsg: TwoStrategyGame) -> TwoStrategyGame:
 
     # Splitting preserves tracked congestion; pruning may only lower it.
     if any(c > before_opt[r] for r, c in tsg.opt_congestion().items()):
-        raise StructuralError("cleaning raised a tracked congestion", state=tsg.to_dict())
+        raise StructuralError("cleaning raised a tracked congestion")
     return tsg
 
 
@@ -412,8 +410,7 @@ def split_player(tsg: TwoStrategyGame, pid: int) -> list[int]:
     cap = delay(max(tsg._eq_cong[r] for r in player.opt_strategy) + 1, tsg.degree)
     for nid, (eq, _) in enumerate(pairs, start=tsg._next_id):
         if len(eq) > 1 and (c := switch_cost(tsg._eq_cong, eq, eq, tsg.degree)) > cap:
-            raise StructuralError(f"multi sub-player {nid} of {pid} costs {c}, above {cap}",
-                                  state=tsg.to_dict())
+            raise StructuralError(f"multi sub-player {nid} of {pid} costs {c}, above {cap}")
     new_ids = tsg.replace(pid, pairs)
     tsg.record("split", player=pid, new_ids=new_ids,
                pairs=[[list(eq), list(opt)] for eq, opt in pairs])
@@ -455,16 +452,14 @@ def eliminate_high_congestion(tsg: TwoStrategyGame, level: int, pid: int) -> Non
                 break
         else:
             raise StructuralError(
-                f"no usable donor on over-congested resource {x} for player {pid}",
-                state=tsg.to_dict())
+                f"no usable donor on over-congested resource {x} for player {pid}")
         before_opt = tsg.opt_congestion()
         tsg.retrack(pid, fset)
         tsg.retrack(qid, (x,))
         tsg.record("eliminate", player=pid, donor=qid, resource=x, new_opt=list(fset))
         # Rewiring may only release tracked load, never add to it.
         if any(c > before_opt[r] for r, c in tsg.opt_congestion().items()):
-            raise StructuralError("tracked congestion increased during elimination",
-                                  state=tsg.to_dict())
+            raise StructuralError("tracked congestion increased during elimination")
 
 
 def _multis_costing(tsg: TwoStrategyGame, low: int) -> list[int]:
@@ -484,8 +479,7 @@ def _band(tsg: TwoStrategyGame, level: int) -> list[int]:
     named."""
     band = _multis_costing(tsg, delay(level, tsg.degree))
     if band and tsg.cost(band[0]) > delay(level + 1, tsg.degree):
-        raise StructuralError(f"multi player {band[0]} above the band at level {level}",
-                              state=tsg.to_dict())
+        raise StructuralError(f"multi player {band[0]} above the band at level {level}")
     return band
 
 
@@ -505,7 +499,7 @@ def run_phase(tsg: TwoStrategyGame, level: int) -> PhaseState:
         if len(opt) != 1 or tsg._eq_cong[opt[0]] < level:
             raise StructuralError(
                 f"band survivor {pid} is not tracked to one resource at level {level} "
-                f"or above", state=tsg.to_dict())
+                "or above")
 
     # A singleton player costs level**degree exactly when its resource sits
     # at the level.
@@ -526,8 +520,7 @@ def run_phase(tsg: TwoStrategyGame, level: int) -> PhaseState:
 
 def _erase_above(tsg: TwoStrategyGame, phase: PhaseState, pids: list[int]) -> None:
     """Erase the multi players among ``pids`` that cost more than the level
-    cost, by one rule for each in turn: eliminate it while it is tracked to
-    one resource above the level; then queue it if it is tracked to one
+    cost, by one rule for each in turn: queue it if it is tracked to one
     resource, else split it.
 
     Each queued player takes one marking round: the next unmarked singleton
@@ -546,8 +539,6 @@ def _erase_above(tsg: TwoStrategyGame, phase: PhaseState, pids: list[int]) -> No
             player = tsg.players[pid]
             if player.is_singleton or tsg.cost(pid) <= level_cost:
                 continue
-            if len(player.opt_strategy) == 1 and tsg._eq_cong[player.opt_strategy[0]] > level:
-                eliminate_high_congestion(tsg, level, pid)
             if len(player.opt_strategy) == 1:
                 queue.append(pid)
             else:
@@ -568,12 +559,10 @@ def _erase_above(tsg: TwoStrategyGame, phase: PhaseState, pids: list[int]) -> No
         pid = queue.popleft()
         player = tsg.players[pid]
         if phase.markings >= mark_budget:
-            raise StructuralError(f"marking budget exhausted at level {level}",
-                                  state=tsg.to_dict())
+            raise StructuralError(f"marking budget exhausted at level {level}")
         donor_pick = _pick_donor(tsg, order, cursor, player)
         if donor_pick is None:
-            raise StructuralError(f"no unmarked donor available at level {level} for player {pid}",
-                                  state=tsg.to_dict())
+            raise StructuralError(f"no unmarked donor available at level {level} for player {pid}")
         qid, resource, position = donor_pick
         donor = tsg.players[qid]
         tsg.retrack(pid, set(donor.opt_strategy) | set(player.opt_strategy))

@@ -70,7 +70,7 @@ class TestAnalyze:
         path = tmp_path / "empty.json"
         path.write_text(json.dumps({"degree": 1, "num_resources": 2, "players": []}))
         assert main(["analyze", str(path)]) == 2
-        assert "players" in capsys.readouterr().err
+        assert "a game needs at least one player" in capsys.readouterr().err
 
     def test_cap_exceeded_is_reported(self, family_file, capsys):
         assert main(["analyze", family_file, "--cap", "3"]) == 1
@@ -110,10 +110,12 @@ class TestAnalyze:
                      "'num_resources' must be an integer", id="bool_num_resources"),
         pytest.param({"degree": "1", "num_resources": 2, "players": [[[0]]]},
                      "'degree' must be an integer", id="string_degree"),
+        pytest.param({"degree": 1, "num_resources": 2, "players": {}},
+                     "field 'players' must be a list", id="players_not_a_list"),
         pytest.param({"degree": 1, "num_resources": 2, "players": [[]]},
-                     "player 0: strategy set must be a non-empty list", id="empty_strategy_set"),
+                     "player 0: empty strategy set", id="empty_strategy_set"),
         pytest.param({"degree": 1, "num_resources": 2, "players": [[[0]], 5]},
-                     "player 1: strategy set must be a non-empty list", id="strategy_set_not_a_list"),
+                     "player 1: strategy set must be a list", id="strategy_set_not_a_list"),
         pytest.param({"degree": 1, "num_resources": 2, "players": [[[0], 1]]},
                      "player 0 strategy 1: must be a list", id="strategy_not_a_list"),
     ])

@@ -391,7 +391,7 @@ class TestGameFormat:
             Game.build(2, 1, [[[0, 0]]])
 
     def test_rejects_empty_players(self):
-        with pytest.raises(GameFormatError, match="players"):
+        with pytest.raises(GameFormatError, match="a game needs at least one player"):
             game_from_dict({"degree": 1, "num_resources": 2, "players": []})
 
     def test_rejects_garbage_json(self, tmp_path):

@@ -322,8 +322,7 @@ def reference_cover_pairs(played, tracked, congestion, degree):
         q = boundary = start
         while total < need:
             if q >= m:
-                raise StructuralError("ran out of tracked resources while forming cover pairs",
-                                      state={"eq": eq, "opt": opt, "pairs": pairs})
+                raise StructuralError("ran out of tracked resources while forming cover pairs")
             cover.append(opt[q])
             uses[q] += 1
             total += values[q]
@@ -362,7 +361,7 @@ def cover_outcome(cover, args):
     try:
         return cover(*args)
     except (PreconditionError, StructuralError) as e:
-        return type(e), str(e), getattr(e, "state", None)
+        return type(e), str(e)
 
 
 # Fifteen played ids at congestion 1 against three tracked at 4, degree 1.
@@ -806,6 +805,26 @@ class TestReplace:
             call(tsg)
         assert workspace_state(tsg) == before
 
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda tsg: tsg.replace(0, [([0], [2])]),
+                     "parts [[0]] do not partition the strategy [0, 1] of player 0",
+                     id="replace"),
+        pytest.param(lambda tsg: tsg.retrack(0, [4]),
+                     "strategy [4] of player 0 leaves the resources [0, 4)", id="retrack_range"),
+        pytest.param(lambda tsg: tsg.retrack(1, [2]),
+                     "player 1 is no longer in equilibrium", id="retrack_unstable"),
+        pytest.param(lambda tsg: transform._band(tsg, 1),
+                     "multi player 0 above the band at level 1", id="band"),
+    ])
+    def test_refusal_carries_only_its_message(self, call, message, monkeypatch):
+        # p (player 0) pays 1 + 2 = 3, above the band (1, 2] of level 1.  A
+        # refusal names what broke and never serialises the workspace.
+        tsg, _ = self._workspace()
+        monkeypatch.setattr(TwoStrategyGame, "to_dict", lambda self: pytest.fail("snapshot taken"))
+        with pytest.raises(StructuralError) as caught:
+            call(tsg)
+        assert str(caught.value) == message
+
 
 class TestRangeCheck:
     """Every strategy that enters the workspace is range-checked before
@@ -992,17 +1011,16 @@ def test_only_check_equilibrium_decides_stability():
     assert not found, found
 
 
-def above_level_workspace(requeue):
+def above_level_workspace():
     """Degree 2, level 5.  A multi player on 26 private ids, costing 26 > 25,
-    is tracked to the hub, resource 2 at congestion 7.  The first singleton
-    of resource 1 (congestion 5), the marking round's donor, is tracked to a
-    fresh id and the hub.  With ``requeue`` the first hub host tracks
-    resource 1 (and 13 fresh ids), so the player is eliminated to resource 1
-    and queued; otherwise it tracks 49 fresh ids, all below the level, and
-    the player is split.  ``run_phase`` never hands ``_erase_above`` such a
-    player: a band survivor is eliminated before, and a round's sub-players
-    are covered by the level resource the round's player was queued on,
-    which absorbs every need left.  Returns the workspace and the player."""
+    is tracked to the hub, resource 2 at congestion 7, above the level, so
+    it is queued as it stands.  The first singleton of resource 1
+    (congestion 5) is tracked to a fresh id and the hub, so the marking round
+    passes it over for the second, tracked to 25 fresh ids.  ``run_phase``
+    never hands ``_erase_above`` such a player: a band survivor is
+    eliminated before, and a round's sub-players are covered by the level
+    resource the round's player was queued on, which absorbs every need
+    left.  Returns the workspace and the player."""
     tsg = TwoStrategyGame(num_resources=200, degree=2, threshold=4, eq_bottleneck=7,
                           opt_bottleneck=1, trace=[])
     fresh = iter(range(3, 200))
@@ -1013,8 +1031,7 @@ def above_level_workspace(requeue):
     tsg.add_player([1], [next(fresh), 2])
     for _ in range(4):
         tsg.add_player([1], take(25))
-    tsg.add_player([2], [1, *take(13)] if requeue else take(49))
-    for _ in range(6):
+    for _ in range(7):
         tsg.add_player([2], [2])
     pid = tsg.add_player(take(26), [2])
     tsg.check_equilibrium()
@@ -1082,23 +1099,15 @@ class TestRunPhase:
         with pytest.raises(StructuralError, match=f"multi player {pid} above the band at level 4"):
             run_phase(tsg, 4)
 
-    @pytest.mark.parametrize("requeue", [True, False])
-    def test_mark_round_sub_player_above_the_level(self, requeue):
-        tsg, pid = above_level_workspace(requeue)
+    def test_mark_round_sub_player_above_the_level(self):
+        # Queued tracked to the hub, not eliminated: one round, one split.
+        tsg, pid = above_level_workspace()
         phase = transform.PhaseState(level=5)
         transform._erase_above(tsg, phase, [pid])
-        ops = [line["op"] for line in tsg.trace]
-        eliminate = tsg.trace[0]
-        assert (eliminate["op"], eliminate["player"], eliminate["resource"]) == ("eliminate", pid, 2)
-        if requeue:
-            assert eliminate["new_opt"] == [1]
-            assert ops == ["eliminate", "split", "mark"]
-            assert (tsg.trace[2]["player"], tsg.trace[2]["resource"]) == (pid, 1)
-            assert (phase.splits, phase.markings) == (1, 1)
-        else:
-            assert all(tsg._eq_cong[r] < 5 for r in eliminate["new_opt"])
-            assert ops == ["eliminate", "split"]
-            assert (phase.splits, phase.markings) == (1, 0)
+        assert [line["op"] for line in tsg.trace] == ["split", "mark"]
+        mark = tsg.trace[1]
+        assert (mark["player"], mark["donor"], mark["resource"]) == (pid, 1, 1)
+        assert (phase.splits, phase.markings) == (1, 1)
         assert all(tsg.cost(pid) <= 25 for pid in tsg.multi_ids())
         tsg.check_equilibrium()
         assert stable_from_scratch(tsg)
@@ -1163,9 +1172,8 @@ def test_every_phase_statement_runs_in_a_pinned_case(monkeypatch):
         for name in sorted(CASES):
             if name.startswith("transform_"):
                 assert run_case(CASES[name])[0] == 0, name
-        for requeue in (True, False):
-            tsg, pid = above_level_workspace(requeue)
-            transform._erase_above(tsg, transform.PhaseState(level=5), [pid])
+        tsg, pid = above_level_workspace()
+        transform._erase_above(tsg, transform.PhaseState(level=5), [pid])
         monkeypatch.setattr(transform, "split_player", lambda tsg, pid: [pid])
         with pytest.raises(StructuralError, match="band survivor"):
             run_phase(unsplit_survivor_workspace()[0], 4)
